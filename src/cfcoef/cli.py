@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .bench import TrialConfig, emit_report, run_trials, sample_channel, trial_rng
+from .bench import MODES, TrialConfig, emit_report, run_trials, sample_channel, trial_rng
 from .core import ChannelInstance, ScaledChannel
 from .listsearch import list_solve
 from .oracle import OracleInfeasibleError, brute_force_svp
@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_bench = subs.add_parser("bench", help="seeded Monte-Carlo statistics")
-    p_bench.add_argument("--mode", required=True,
-                         choices=["e1_freq", "node_ratio", "rate_avg", "list"])
+    p_bench.add_argument("--mode", required=True, choices=MODES)
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--snr-db", type=float, required=True)
     p_bench.add_argument("--trials", type=int, required=True)

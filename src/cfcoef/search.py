@@ -99,6 +99,24 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     ``a[n] = 0``); the ``flag`` marker records that the clip was hit, after
     which enumeration proceeds upward only.  The radius starts at ``q[0]``,
     the objective of the first unit vector, and shrinks at every incumbent.
+
+    Untouched-level look-ahead: a level above ``top``, the highest level
+    entered so far, is untouched, and every level above it still holds
+    ``a = 0``, ``p = d = sig = 0``.  When the walk climbs into one, its first
+    steps there are fixed: test ``a[j] = 1`` (value ``q[j]``); if that
+    passes, descend once to the center ``t[j-1]*t[j]/f[j]`` rounded and
+    clipped at 1 (value ``q[j] + q[j-1]*(a[j-1] - d[j-1])**2``), and, if
+    that fails, test ``a[j] = 2`` (value ``4*q[j]``).  No incumbent can
+    arise on those steps, so the radius is fixed while they run.  The
+    look-ahead evaluates the same tests with the same float values but
+    writes no state, counting 1 node for a level whose first test fails and
+    3 for a level where all three fail, and climbs on.  At the first level
+    where the descent or the ``a[j] = 2`` test passes it hands that level
+    to the walk as a fresh entry, ``a[j] = 1``; if it passes level ``n-1``
+    the search is over.  Node counts, incumbents and the result equal the
+    plain walk's: the walk could only reach a skipped level again by
+    descending into it from above, and that descent rewrites every value
+    of the level before it is read.
     """
     n = sc.n
     t = sc.t.tolist()
@@ -113,6 +131,7 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     s = [1] * n
     flag = [1] * n
     k = 0
+    top = 0  # highest level entered so far; all levels above it are untouched
     beta2 = q[0]
     delta = q[0]
     best = None  # incumbent stays the first unit vector until improved
@@ -145,6 +164,30 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
                 incumbents.append(alpha)
         elif k < n - 1:
             k += 1
+            if k > top:
+                # untouched: look ahead (see the docstring).  The walk's
+                # p[k] = 0.0 + t[k]*1 is t[k], and its q[k]*(a[k] - 0.0)**2
+                # is qk for a[k] = 1 and 4.0*qk for a[k] = 2, so each test
+                # compares the same float the walk would.
+                while k < n:
+                    qk = q[k]
+                    if qk < beta2:
+                        dk = t[k - 1] * t[k] / f[k]
+                        ak = _round_nearest(dk)
+                        if ak <= 1:
+                            ak = 1
+                        if qk + q[k - 1] * (ak - dk) ** 2 < beta2 or 4.0 * qk < beta2:
+                            break
+                        nodes += 3
+                    else:
+                        nodes += 1
+                    k += 1
+                else:
+                    break
+                top = k
+                a[k] = 1
+                delta = qk
+                continue
             ak = a[k] + s[k]
             a[k] = ak
             if ak == a[k + 1]:

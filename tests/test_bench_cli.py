@@ -226,6 +226,17 @@ class TestCli:
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert rows[0][0] == "mode"
 
+    def test_bench_solve_mode(self, capsys):
+        code = main([
+            "bench", "--mode", "solve", "--n", "4", "--snr-db", "0",
+            "--trials", "30", "--seed", "5",
+        ])
+        assert code == 0
+        head = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert head["mode"] == "solve"
+        cfg = TrialConfig(mode="solve", n=4, snr_db=0.0, trials=30, seed=5)
+        assert head["result"] == json.loads(json.dumps(run_trials(cfg).result))
+
     def test_bench_list_mode_requires_l(self, capsys):
         code = main([
             "bench", "--mode", "list", "--n", "2", "--snr-db", "0",

@@ -19,8 +19,10 @@ from cfcoef import (
     e1_is_optimal,
     modified_search,
     objective_lower_bound,
+    sample_channel,
     scale_channel,
     solve,
+    trial_rng,
 )
 from conftest import feasible_instance, make_channel, same_up_to_sign
 
@@ -170,6 +172,90 @@ class TestModifiedSearch:
                 assert res.a.tolist() == [1] + [0] * (n - 1)
                 confirmed += 1
         assert confirmed > 50
+
+
+# Frozen outputs of the constrained walk: (n, snr_db, trial, nodes_visited,
+# incumbents as float.hex, nonzero prefix of the canonical a).  They were
+# recorded from the plain zig-zag walk, before the untouched-level look-ahead
+# existed, so any change to which nodes are tested or in what order shows
+# here as a literal mismatch.
+# Grid rows use trial_rng(11, trial); e1 is optimal on all of them.
+PINNED_GRID = [
+    (100, 20, 0, 222, ("0x1.e70d4be65c6d0p-1",), [1]),
+    (100, 20, 1, 182, ("0x1.d84ccb07effd9p-1",), [1]),
+    (100, 30, 0, 276, ("0x1.e70c9cc6fc15ep-1",), [1]),
+    (100, 30, 1, 234, ("0x1.d84c039400baep-1",), [1]),
+    (100, 40, 0, 534, ("0x1.e70c8b4351a15p-1",), [1]),
+    (100, 40, 1, 466, ("0x1.d84befa1942d7p-1",), [1]),
+    (1000, 20, 0, 1412, ("0x1.f94a705beeb4fp-1",), [1]),
+    (1000, 20, 1, 1766, ("0x1.fb8dedb27ddbep-1",), [1]),
+    (1000, 30, 0, 1424, ("0x1.f94a6c68e4a3cp-1",), [1]),
+    (1000, 30, 1, 1780, ("0x1.fb8deb3245e9ap-1",), [1]),
+    (1000, 40, 0, 1428, ("0x1.f94a6c03c9c70p-1",), [1]),
+    (1000, 40, 1, 1780, ("0x1.fb8deaf24029cp-1",), [1]),
+    (10000, 20, 0, 13976, ("0x1.ff400c10ec9ccp-1",), [1]),
+    (10000, 20, 1, 14696, ("0x1.ff56efa28b022p-1",), [1]),
+    (10000, 30, 0, 14016, ("0x1.ff400c05a4162p-1",), [1]),
+    (10000, 30, 1, 14728, ("0x1.ff56ef986821cp-1",), [1]),
+    (10000, 40, 0, 14020, ("0x1.ff400c04833bdp-1",), [1]),
+    (10000, 40, 1, 14738, ("0x1.ff56ef9764a4ep-1",), [1]),
+]
+
+# Edge rows use trial_rng(7, trial), chosen for the look-ahead branch each
+# one reaches (level j is the untouched level where the scan stops):
+#   n=1: no level above 0, so the walk ends after its first test;
+#   n=2, trial 0: the scan passes level n-1 without a hand-over and ends;
+#   n=2, trial 6: hand-over at level n-1 because the descent test passes;
+#   n=3, trial 2: hand-over on a descent whose center rounds above the clip;
+#   n=3, trial 4: two descent hand-overs, the second at level n-1;
+#   n=3, trials 28 and 49: hand-over at level n-1 because the a[j]=2 test
+#       passes, with the descent center rounding to 1 and to 2;
+#   n=16, 40 dB: hand-overs at three consecutive levels, five incumbents.
+PINNED_EDGES = [
+    (1, 20, 0, 1, ("0x1.ffec2b0d64779p-1",), [1]),
+    (2, 0, 0, 2, ("0x1.d60c79c2b74c0p-1",), [1]),
+    (2, 0, 6, 5, ("0x1.e53a2039e18a6p-2", "0x1.b8fe288c01846p-2"), [1, 1]),
+    (3, 20, 2, 6, ("0x1.55bfb08f0c773p-3", "0x1.1657937791107p-3"), [2, 1]),
+    (3, 20, 4, 11,
+     ("0x1.6c16876e93bcap-2", "0x1.3413e12eeb046p-3", "0x1.0ad04302935c0p-3"), [3, 2, 1]),
+    (3, 40, 28, 10, ("0x1.8ff4e46b936e0p-5", "0x1.d46ba73f66253p-7"), [16, 3, 2]),
+    (3, 40, 49, 10, ("0x1.63848136525dcp-5", "0x1.3793577b4e1aep-7"), [17, 3, 2]),
+    (16, 40, 39, 1002,
+     ("0x1.aa24bca2d7154p-1", "0x1.a674f66a0df96p-1", "0x1.8c264f6643f80p-1",
+      "0x1.37a4d9797c79ap-1", "0x1.16877a0feaa9ep-1"),
+     [37, 37, 36, 31, 27, 23, 21, 19, 16, 15, 13, 12, 11, 10, 10, 4]),
+]
+
+
+def _pinned_search(n, snr_db, seed, trial):
+    h = sample_channel(n, trial_rng(seed, trial))
+    sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
+    return modified_search(sc)
+
+
+def _assert_pinned(res, nodes, incumbents, prefix):
+    assert res.nodes_visited == nodes
+    assert tuple(x.hex() for x in res.incumbents) == incumbents
+    assert res.objective.hex() == incumbents[-1]
+    assert res.a.tolist() == prefix + [0] * (res.a.size - len(prefix))
+
+
+class TestPinnedTraversal:
+    @pytest.mark.parametrize("n, snr_db, trial, nodes, incumbents, prefix", PINNED_GRID)
+    def test_grid(self, n, snr_db, trial, nodes, incumbents, prefix):
+        _assert_pinned(_pinned_search(n, snr_db, 11, trial), nodes, incumbents, prefix)
+
+    @pytest.mark.parametrize("n, snr_db, trial, nodes, incumbents, prefix", PINNED_EDGES)
+    def test_edge_cases(self, n, snr_db, trial, nodes, incumbents, prefix):
+        _assert_pinned(_pinned_search(n, snr_db, 7, trial), nodes, incumbents, prefix)
+
+    def test_descent_center_on_half_tie(self):
+        # t[0]*t[1]/f[1] is exactly 1.5: the tie rounds toward zero, onto
+        # the clip at a[1] = 1, and the descent then passes
+        sc = canonicalize([0.84, 0.5257142857142858])
+        assert float(sc.t[0] * sc.t[1] / sc.f[1]) == 1.5
+        incumbents = ("0x1.2d77318fc5049p-2", "0x1.141edcb2fca12p-3")
+        _assert_pinned(modified_search(sc), 5, incumbents, [1, 1])
 
 
 class TestNodeCounters:
