@@ -29,6 +29,7 @@ from .core import (
     ChannelInstance,
     NumericDegeneracyError,
     ScaledChannel,
+    _is_integer,
     computation_rate,
     e1_is_optimal,
     scale_channel,
@@ -68,6 +69,10 @@ class TrialConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("n", "trials", "seed", "list_size"):
+            value = getattr(self, name)
+            if not _is_integer(value) and not (name == "list_size" and value is None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         min_n = 2 if self.mode in _STATISTICAL_MODES else 1

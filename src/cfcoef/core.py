@@ -19,6 +19,7 @@ formula plus the O(n) optimality shortcut for the first unit vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,11 @@ __all__ = [
 
 class NumericDegeneracyError(ArithmeticError):
     """A quantity that is positive in exact arithmetic evaluated <= 0."""
+
+
+def _is_integer(x) -> bool:
+    """True for Python and NumPy integers; a bool is not a count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

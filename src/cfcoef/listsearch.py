@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelInstance, ScaledChannel, computation_rate, restore
+from .core import ChannelInstance, ScaledChannel, _is_integer, computation_rate, restore
 from .search import _round_nearest, _sgn
 
 __all__ = ["Candidate", "CandidateList", "list_search", "list_solve"]
@@ -95,9 +95,8 @@ def list_search(sc: ScaledChannel, L: int) -> CandidateList:
     at 1; afterwards every insertion replaces the current worst member and
     the radius drops to the new worst objective.
     """
-    L = int(L)
-    if L < 1:
-        raise ValueError("L must be at least 1")
+    if not _is_integer(L) or L < 1:
+        raise ValueError(f"L must be an integer of at least 1, got {L!r}")
     n = sc.n
     t = sc.t.tolist()
     f = sc.f.tolist()

@@ -135,9 +135,7 @@ def brute_force_svp(t, box: int | None = None) -> SearchResult:
     inner = float(best @ t)
     if inner < 0.0:
         best = -best
-    return SearchResult(
-        a=best, objective=best_obj, nodes_visited=examined, used_shortcut=False
-    )
+    return SearchResult(a=best, objective=best_obj, nodes_visited=examined)
 
 
 def brute_force_best_two(t, box: int | None = None) -> tuple:

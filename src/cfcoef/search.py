@@ -1,20 +1,16 @@
 """Depth-first sphere search for the shortest coefficient vector.
 
-Two searches are provided.  :func:`baseline_search` is the classic
-Schnorr-Euchner enumeration over an explicit upper-triangular factor,
-kept as a reference implementation.  :func:`modified_search` is the
-production path: it works from the implicit factorization carried by a
-:class:`~cfcoef.core.ScaledChannel` (never materializing the matrix),
-starts from the first unit vector with radius ``q[0]``, and enumerates
-only candidates with ``a[0] >= a[1] >= ... >= a[n-1] >= 0``, which is
-sufficient because the canonical ordering of ``t`` guarantees a solution
-of that shape exists.
-
-Two counters walk the same constrained tree with the radius held fixed
-at its initial value: :func:`count_tree_nodes` returns the exact number
-of feasible partial assignments, and :func:`count_visited_nodes` returns
-the number of candidates generated and tested (failing leaves included),
-which is the complexity meter used by the benchmark harness.
+:func:`baseline_search` is the classic Schnorr-Euchner enumeration over an
+explicit upper-triangular factor, kept as a reference implementation.  The
+production path works from the implicit factorization carried by a
+:class:`~cfcoef.core.ScaledChannel` (never materializing the matrix) and
+enumerates only candidates with ``a[0] >= a[1] >= ... >= a[n-1] >= 0``,
+which is sufficient because the canonical ordering of ``t`` guarantees a
+solution of that shape exists.  One walk of that constrained tree serves
+three callers: :func:`modified_search` shrinks its radius to find the
+optimum, while :func:`count_tree_nodes` and :func:`count_visited_nodes`
+hold the radius at ``q[0]`` and count feasible partial assignments and
+tested candidates, the complexity meter used by the benchmark harness.
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ class SearchResult:
     a: np.ndarray
     objective: float
     nodes_visited: int
-    used_shortcut: bool = False
     incumbents: tuple = ()
 
 
@@ -84,10 +79,10 @@ class SolveResult:
     used_shortcut: bool
 
 
-def modified_search(sc: ScaledChannel) -> SearchResult:
-    """Find the optimal canonical coefficient vector by constrained enumeration.
+def _constrained_walk(sc: ScaledChannel, shrink: bool) -> tuple:
+    """Walk the constrained tree from the first unit vector, radius ``q[0]``.
 
-    The search maintains, per level ``k``:
+    The walk maintains, per level ``k``:
 
     * ``p[k] = p[k+1] + t[k]*a[k]``, the running inner product of the
       assigned suffix (``p[n] = 0``),
@@ -97,8 +92,11 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     so each node costs O(1).  Candidates at level ``k`` are visited in the
     zig-zag order around ``d[k]``, clipped from below at ``a[k+1]`` (with
     ``a[n] = 0``); the ``flag`` marker records that the clip was hit, after
-    which enumeration proceeds upward only.  The radius starts at ``q[0]``,
-    the objective of the first unit vector, and shrinks at every incumbent.
+    which enumeration proceeds upward only.  At a passing leaf, with
+    ``shrink`` the vector becomes the incumbent and the radius drops to its
+    objective; without it the leaf is only counted.  Either way the walk
+    moves on to the next level-0 candidate, which is never closer to the
+    center, so after a shrink its test fails.
 
     Untouched-level look-ahead: a level above ``top``, the highest level
     entered so far, is untouched, and every level above it still holds
@@ -106,17 +104,20 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     steps there are fixed: test ``a[j] = 1`` (value ``q[j]``); if that
     passes, descend once to the center ``t[j-1]*t[j]/f[j]`` rounded and
     clipped at 1 (value ``q[j] + q[j-1]*(a[j-1] - d[j-1])**2``), and, if
-    that fails, test ``a[j] = 2`` (value ``4*q[j]``).  No incumbent can
-    arise on those steps, so the radius is fixed while they run.  The
-    look-ahead evaluates the same tests with the same float values but
-    writes no state, counting 1 node for a level whose first test fails and
-    3 for a level where all three fail, and climbs on.  At the first level
-    where the descent or the ``a[j] = 2`` test passes it hands that level
-    to the walk as a fresh entry, ``a[j] = 1``; if it passes level ``n-1``
-    the search is over.  Node counts, incumbents and the result equal the
-    plain walk's: the walk could only reach a skipped level again by
-    descending into it from above, and that descent rewrites every value
-    of the level before it is read.
+    that fails, test ``a[j] = 2`` (value ``4*q[j]``).  No leaf can pass on
+    those steps, so the radius is fixed while they run.  The look-ahead
+    evaluates the same tests with the same float values but writes no
+    state, counting 1 node for a level whose first test fails and 3 for a
+    level where all three fail, and climbs on.  At the first level where the
+    descent or the ``a[j] = 2`` test passes it hands that level to the walk
+    as a fresh entry, ``a[j] = 1``; if it passes level ``n-1`` the walk is
+    over.  Node counts and leaves equal the plain walk's: the walk could
+    only reach a skipped level again by descending into it from above, and
+    that descent rewrites every value of the level before it is read.
+
+    Returns ``(best, incumbents, nodes, leaves)``: the last incumbent's
+    ``a[:n]`` (None while it is the first unit vector), the successive
+    squared radii from ``q[0]``, the radius tests and the passing leaves.
     """
     n = sc.n
     t = sc.t.tolist()
@@ -134,9 +135,10 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     top = 0  # highest level entered so far; all levels above it are untouched
     beta2 = q[0]
     delta = q[0]
-    best = None  # incumbent stays the first unit vector until improved
+    best = None
     incumbents = [beta2]
     nodes = 0
+    leaves = 0
 
     while True:
         nodes += 1
@@ -158,7 +160,9 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
                     s[k] = 1 if dk >= ak else -1
                 a[k] = ak
                 delta = q[k] * (ak - dk) ** 2
-            else:
+                continue
+            leaves += 1
+            if shrink:
                 beta2 = alpha
                 best = a[:n]
                 incumbents.append(alpha)
@@ -188,85 +192,8 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
                 a[k] = 1
                 delta = qk
                 continue
-            ak = a[k] + s[k]
-            a[k] = ak
-            if ak == a[k + 1]:
-                flag[k] = 1
-                s[k] = -s[k] - _sgn(s[k])
-            elif flag[k]:
-                s[k] = 1
-            else:
-                s[k] = -s[k] - _sgn(s[k])
-            delta = q[k] * (ak - d[k]) ** 2
         else:
             break
-
-    if best is None:
-        avec = np.zeros(n, dtype=np.int64)
-        avec[0] = 1
-    else:
-        avec = np.array(best, dtype=np.int64)
-    return SearchResult(
-        a=avec,
-        objective=float(beta2),
-        nodes_visited=nodes,
-        used_shortcut=False,
-        incumbents=tuple(incumbents),
-    )
-
-
-def _fixed_radius_walk(sc: ScaledChannel) -> tuple:
-    """Exhaustive constrained walk with the radius held at its initial value.
-
-    Returns ``(feasible, evaluations)`` where ``feasible`` is the number of
-    partial assignments that passed the radius test and ``evaluations`` is
-    the total number of radius tests performed.
-    """
-    n = sc.n
-    t = sc.t.tolist()
-    f = sc.f.tolist()
-    q = sc.q.tolist()
-
-    p = [0.0] * (n + 1)
-    d = [0.0] * n
-    sig = [0.0] * n
-    a = [0] * (n + 1)
-    a[0] = 1
-    s = [1] * n
-    flag = [1] * n
-    k = 0
-    beta2 = q[0]
-    delta = q[0]
-    feasible = 0
-    evals = 0
-
-    while True:
-        evals += 1
-        alpha = sig[k] + delta
-        if alpha < beta2:
-            feasible += 1
-            if k > 0:
-                p[k] = p[k + 1] + t[k] * a[k]
-                k -= 1
-                sig[k] = alpha
-                dk = t[k] * p[k + 1] / f[k + 1]
-                d[k] = dk
-                ak = _round_nearest(dk)
-                if ak <= a[k + 1]:
-                    ak = a[k + 1]
-                    flag[k] = 1
-                    s[k] = 1
-                else:
-                    flag[k] = 0
-                    s[k] = 1 if dk >= ak else -1
-                a[k] = ak
-                delta = q[k] * (ak - dk) ** 2
-                continue
-            # a full vector passed: advance to the next level-0 candidate
-        elif k < n - 1:
-            k += 1
-        else:
-            return feasible, evals
         ak = a[k] + s[k]
         a[k] = ak
         if ak == a[k + 1]:
@@ -277,6 +204,29 @@ def _fixed_radius_walk(sc: ScaledChannel) -> tuple:
         else:
             s[k] = -s[k] - _sgn(s[k])
         delta = q[k] * (ak - d[k]) ** 2
+
+    return best, incumbents, nodes, leaves
+
+
+def modified_search(sc: ScaledChannel) -> SearchResult:
+    """Find the optimal canonical coefficient vector by constrained enumeration.
+
+    The incumbent starts as the first unit vector, with radius ``q[0]``, and
+    becomes every complete vector the walk finds strictly inside the radius,
+    which shrinks to its objective; the last incumbent is optimal.
+    """
+    best, incumbents, nodes, _ = _constrained_walk(sc, shrink=True)
+    if best is None:
+        avec = np.zeros(sc.n, dtype=np.int64)
+        avec[0] = 1
+    else:
+        avec = np.array(best, dtype=np.int64)
+    return SearchResult(
+        a=avec,
+        objective=float(incumbents[-1]),
+        nodes_visited=nodes,
+        incumbents=tuple(incumbents),
+    )
 
 
 def count_tree_nodes(sc: ScaledChannel) -> int:
@@ -289,22 +239,27 @@ def count_tree_nodes(sc: ScaledChannel) -> int:
     The all-zero partial assignment at each level is feasible by
     construction and accounts for a baseline count of ``n``; the walk only
     ever tests candidates beyond that implicit start.
+
+    The rest is the number of passing tests.  The walk starts at level 0
+    and ends at level ``n-1`` on a failing test; every other failing test
+    climbs one level and every passing test above level 0 descends one, so
+    ``passed = (tests - n + leaves) / 2``.
     """
-    feasible, _ = _fixed_radius_walk(sc)
-    return sc.n + feasible
+    _, _, tests, leaves = _constrained_walk(sc, shrink=False)
+    return sc.n + (tests - sc.n + leaves) // 2
 
 
 def count_visited_nodes(sc: ScaledChannel) -> int:
     """Nodes the fixed-radius walk generates and tests, leaves included.
 
-    Every loop iteration after the seeded start evaluates exactly one
-    freshly generated candidate, so this equals the evaluation count minus
-    one.  It is the per-instance complexity meter used by the node-ratio
-    benchmark mode and is the quantity bounded by
-    ``2 * n * sqrt(1 + P * ||h||^2)`` on Gaussian channels.
+    Every radius test after the seeded start evaluates exactly one freshly
+    generated candidate, so this equals the test count minus one.  It is
+    the per-instance complexity meter used by the node-ratio benchmark mode
+    and is the quantity bounded by ``2 * n * sqrt(1 + P * ||h||^2)`` on
+    Gaussian channels.
     """
-    _, evals = _fixed_radius_walk(sc)
-    return evals - 1
+    _, _, tests, _ = _constrained_walk(sc, shrink=False)
+    return tests - 1
 
 
 def baseline_search(R) -> SearchResult:
@@ -378,7 +333,6 @@ def baseline_search(R) -> SearchResult:
         a=np.array(best, dtype=np.int64),
         objective=float(beta2),
         nodes_visited=nodes,
-        used_shortcut=False,
         incumbents=tuple(incumbents),
     )
 
@@ -391,25 +345,21 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
     the search, e.g. when node counts must reflect the full tree.
     """
     sc = ScaledChannel.from_channel(ch)
-    if use_shortcut and e1_is_optimal(sc):
+    shortcut = use_shortcut and e1_is_optimal(sc)
+    if shortcut:
         a_canonical = np.zeros(sc.n, dtype=np.int64)
         a_canonical[0] = 1
         objective = float(sc.q[0])
-        result = SearchResult(
-            a=a_canonical,
-            objective=objective,
-            nodes_visited=0,
-            used_shortcut=True,
-            incumbents=(objective,),
-        )
+        nodes = 0
     else:
-        result = modified_search(sc)
-    a = restore(sc.perm, result.a)
+        found = modified_search(sc)
+        a_canonical, objective, nodes = found.a, found.objective, found.nodes_visited
+    a = restore(sc.perm, a_canonical)
     rate = computation_rate(ch, a)
     return SolveResult(
         a=a,
         rate=rate,
-        objective=result.objective,
-        nodes_visited=result.nodes_visited,
-        used_shortcut=result.used_shortcut,
+        objective=objective,
+        nodes_visited=nodes,
+        used_shortcut=shortcut,
     )

@@ -62,6 +62,22 @@ class TestTrialConfig:
         cfg = TrialConfig(mode="solve", n=2, snr_db=20.0, trials=1, seed=0)
         assert cfg.P == pytest.approx(100.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2.5), ("n", True), ("trials", 10.0), ("seed", 1.5), ("seed", False),
+         ("list_size", 2.5), ("list_size", True)],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        kwargs = dict(mode="list", n=4, snr_db=0.0, trials=10, seed=0, list_size=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrialConfig(mode="list", n=np.int64(4), snr_db=0.0, trials=np.int32(10),
+                          seed=np.uint64(2**64 - 1), list_size=np.int64(2))
+        assert cfg.seed == 2**64 - 1
+
 
 class TestRunTrials:
     def test_e1_frequency_matches_reference_scale(self):

@@ -53,8 +53,9 @@ class TestListSearch:
             assert found[0].objective == pytest.approx(best.objective, rel=1e-9)
 
     def test_rejects_empty_request(self):
-        with pytest.raises(ValueError):
-            list_search(canonicalize([0.5, 0.2]), 0)
+        for L in (0, 2.7, 2.0, True):
+            with pytest.raises(ValueError):
+                list_search(canonicalize([0.5, 0.2]), L)
 
     def test_objectives_sorted_and_below_one(self, rng):
         for _ in range(60):

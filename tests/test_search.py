@@ -227,6 +227,30 @@ PINNED_EDGES = [
 ]
 
 
+# Frozen fixed-radius counts: (n, snr_db, seed, trial, count_tree_nodes,
+# count_visited_nodes), recorded from a walk without the untouched-level
+# look-ahead.  The n=100 and n=1000 rows climb through hundreds of untouched
+# levels; n=1 ends after its first test; the rest (e1 not optimal) have 1 to
+# 13 complete vectors inside the fixed radius, so the walk continues past
+# passing leaves.
+PINNED_COUNTS = [
+    (100, 20, 11, 0, 161, 221),
+    (100, 20, 11, 1, 141, 181),
+    (100, 30, 11, 0, 188, 275),
+    (100, 30, 11, 1, 167, 233),
+    (1000, 20, 11, 0, 1206, 1411),
+    (1000, 20, 11, 1, 1383, 1765),
+    (1000, 30, 11, 0, 1212, 1423),
+    (1000, 30, 11, 1, 1390, 1779),
+    (1, 20, 7, 0, 1, 0),
+    (2, 0, 7, 6, 4, 4),
+    (3, 20, 7, 4, 12, 15),
+    (3, 40, 7, 49, 11, 16),
+    (16, 40, 7, 39, 1258, 2491),
+    (16, 40, 11, 11, 1282, 2534),
+]
+
+
 def _pinned_search(n, snr_db, seed, trial):
     h = sample_channel(n, trial_rng(seed, trial))
     sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
@@ -256,6 +280,13 @@ class TestPinnedTraversal:
         assert float(sc.t[0] * sc.t[1] / sc.f[1]) == 1.5
         incumbents = ("0x1.2d77318fc5049p-2", "0x1.141edcb2fca12p-3")
         _assert_pinned(modified_search(sc), 5, incumbents, [1, 1])
+
+    @pytest.mark.parametrize("n, snr_db, seed, trial, tree, visited", PINNED_COUNTS)
+    def test_node_counts(self, n, snr_db, seed, trial, tree, visited):
+        h = sample_channel(n, trial_rng(seed, trial))
+        sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
+        assert count_tree_nodes(sc) == tree
+        assert count_visited_nodes(sc) == visited
 
 
 class TestNodeCounters:
