@@ -55,6 +55,17 @@ _STATISTICAL_MODES = ("list", "e1_freq", "node_ratio", "rate_avg")
 _RATE_SLACK = 1e-9
 
 
+def _snr_power(snr_db: float) -> float:
+    """Linear SNR ``P = 10^(dB/10)``; ``ValueError`` unless finite and positive."""
+    try:
+        P = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        P = math.inf
+    if not (math.isfinite(P) and P > 0.0):
+        raise ValueError(f"snr_db={snr_db!r} gives no finite positive linear SNR")
+    return P
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Configuration of one Monte-Carlo run."""
@@ -82,10 +93,11 @@ class TrialConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.mode == "list" and (self.list_size is None or self.list_size < 1):
             raise ValueError("list mode requires list_size >= 1")
+        _snr_power(self.snr_db)
 
     @property
     def P(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
+        return _snr_power(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,7 @@ class TrialReport:
     kept outside of it.
     """
 
-    mode: str
-    n: int
-    snr_db: float
-    trials: int
-    seed: int
-    list_size: int | None
+    config: TrialConfig
     result: dict
     wall_time: float
     per_trial: tuple = field(default=())
@@ -235,12 +242,7 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     result, per_trial = _aggregate(cfg, rows)
     wall = time.perf_counter() - start
     return TrialReport(
-        mode=cfg.mode,
-        n=cfg.n,
-        snr_db=cfg.snr_db,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        list_size=cfg.list_size,
+        config=cfg,
         result=result,
         wall_time=wall,
         per_trial=tuple(per_trial) if keep_per_trial else (),
@@ -248,13 +250,14 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
 
 
 def _headline(report: TrialReport) -> dict:
+    cfg = report.config
     return {
-        "mode": report.mode,
-        "n": report.n,
-        "snr_db": report.snr_db,
-        "trials": report.trials,
-        "seed": report.seed,
-        "list_size": report.list_size,
+        "mode": cfg.mode,
+        "n": cfg.n,
+        "snr_db": cfg.snr_db,
+        "trials": cfg.trials,
+        "seed": cfg.seed,
+        "list_size": cfg.list_size,
         "result": report.result,
         "wall_time": report.wall_time,
     }

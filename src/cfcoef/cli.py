@@ -9,7 +9,9 @@ import sys
 
 import numpy as np
 
-from .bench import MODES, TrialConfig, emit_report, run_trials, sample_channel, trial_rng
+from .bench import (
+    MODES, TrialConfig, _snr_power, emit_report, run_trials, sample_channel, trial_rng,
+)
 from .core import ChannelInstance, ScaledChannel
 from .listsearch import list_solve
 from .oracle import OracleInfeasibleError, brute_force_svp
@@ -48,7 +50,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    ch = ChannelInstance(h=_parse_h(args), P=10.0 ** (args.snr_db / 10.0))
+    ch = ChannelInstance(h=_parse_h(args), P=_snr_power(args.snr_db))
     res = solve(ch, use_shortcut=not args.no_shortcut)
     record = {
         "n": ch.n,
@@ -65,7 +67,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    ch = ChannelInstance(h=_parse_h(args), P=10.0 ** (args.snr_db / 10.0))
+    ch = ChannelInstance(h=_parse_h(args), P=_snr_power(args.snr_db))
     entries = list_solve(ch, args.l)
     record = {
         "n": ch.n,
@@ -97,9 +99,10 @@ def _cmd_oracle_check(args) -> int:
     checked = 0
     refused = 0
     mismatches = []
+    P = _snr_power(args.snr_db)
     for j in range(args.trials):
         h = sample_channel(args.n, trial_rng(args.seed, j))
-        ch = ChannelInstance(h=h, P=10.0 ** (args.snr_db / 10.0))
+        ch = ChannelInstance(h=h, P=P)
         sc = ScaledChannel.from_channel(ch)
         try:
             reference = brute_force_svp(sc.t)

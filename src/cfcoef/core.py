@@ -10,10 +10,10 @@ only ever needs two derived vectors:
 * ``f[i] = 1 - sum(t[:i]**2)``, the cumulative tail mass, and
 * ``q[k] = f[k+1] / f[k]``, the squared diagonal of the factor.
 
-This module builds those quantities (stably, from channel tail sums
-rather than by repeated subtraction), canonicalizes ``t`` into sorted
-nonnegative form through a signed permutation, and provides the rate
-formula plus the O(n) optimality shortcut for the first unit vector.
+One builder forms those quantities from tail sums of the sorted channel
+rather than by repeated subtraction, and canonicalizes ``t`` into sorted
+nonnegative form through a signed permutation.  The module also provides
+the rate formula plus the O(n) optimality shortcut for the first unit vector.
 """
 
 from __future__ import annotations
@@ -143,19 +143,16 @@ class ScaledChannel:
     perm : SignedPermutation
         Mapping from original to canonical coordinates, ``t = perm.apply(t_raw)``.
     f : ndarray, shape (n + 1,)
-        ``f[i] = 1 - sum(t[:i]**2)``; ``f[0] == 1`` and ``f[n] > 0``.
+        ``f[i] = 1 - sum(t[:i]**2)``; ``f[0] == 1`` and ``f[n] = 1 - ||t||**2 > 0``.
     q : ndarray, shape (n,)
         ``q[k] = f[k+1] / f[k]``, in ``(0, 1]``; the squared diagonal of
         the Cholesky factor of ``I - t t'``.
-    tnorm2 : float
-        ``||t||**2``.
     """
 
     t: np.ndarray
     perm: SignedPermutation
     f: np.ndarray
     q: np.ndarray
-    tnorm2: float
 
     def __post_init__(self):
         t = _as_vector(self.t, "t")
@@ -170,15 +167,9 @@ class ScaledChannel:
             raise ValueError("f must start at 1, be nonincreasing, and stay positive")
         if np.any(q <= 0.0) or np.any(q > 1.0):
             raise ValueError("q entries must lie in (0, 1]")
-        # f[-1] > 0 witnesses ||t|| < 1; the stored float itself may round
-        # to 1.0 at extreme SNR where 1 - ||t||^2 is below one ulp
-        tnorm2 = float(self.tnorm2)
-        if not 0.0 <= tnorm2 <= 1.0:
-            raise ValueError("||t||^2 must lie in [0, 1]")
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "f", _readonly(f))
         object.__setattr__(self, "q", _readonly(q))
-        object.__setattr__(self, "tnorm2", tnorm2)
 
     @property
     def n(self) -> int:
@@ -193,28 +184,30 @@ class ScaledChannel:
         every entry strictly positive even at SNR values where the direct
         subtraction ``1 - sum(t**2)`` would cancel to zero.
         """
-        t_raw = scale_channel(ch)
-        perm = _canonical_order(t_raw)
-        t = perm.apply(t_raw)
-        hsq = np.square(ch.h[perm.perm])
-        suffix = np.zeros(ch.n + 1)
-        suffix[:-1] = np.cumsum(hsq[::-1])[::-1]
-        num = 1.0 + ch.P * suffix
-        denom = num[0]
-        f = num / denom
-        f[0] = 1.0
-        np.minimum.accumulate(f, out=f)
-        q = np.minimum(num[1:] / num[:-1], 1.0)
-        tnorm2 = float(ch.P * suffix[0] / denom)
-        return cls(t=t, perm=perm, f=f, q=q, tnorm2=tnorm2)
+        return _build(scale_channel(ch), ch.h, lambda suffix: 1.0 + ch.P * suffix)
 
 
-def _canonical_order(t_raw: np.ndarray) -> SignedPermutation:
+def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> ScaledChannel:
+    """Canonical form of ``t_raw``; ``tail_mass`` maps the tail sums of the
+    reordered squares of ``x`` (``t_raw`` or ``h``) to a multiple of ``f``."""
     # Stable sort on magnitude, ties kept in original index order; entries
     # equal to zero get sign +1.
     order = np.argsort(-np.abs(t_raw), kind="stable")
-    sign = np.where(t_raw[order] < 0.0, -1, 1).astype(np.int64)
-    return SignedPermutation(perm=order, sign=sign)
+    sign = np.where(t_raw[order] < 0.0, -1, 1)
+    t = sign * t_raw[order]
+    suffix = np.zeros(t.size + 1)
+    suffix[:-1] = np.cumsum(np.square(x[order])[::-1])[::-1]
+    num = tail_mass(suffix)
+    # num[-1] is 1 - ||t_raw||^2 up to a positive factor; testing it before
+    # the divisions keeps a norm-one input from reaching a 0/0
+    if not num[-1] > 0.0:
+        raise ValueError("||t_raw|| must be strictly less than 1")
+    # Rounding is monotone, so the cumsum of nonnegative terms, the increasing
+    # affine map and the division by num[0] keep num and f nonincreasing: f[0]
+    # is exactly 1 and every q is at most 1 (ScaledChannel still checks both).
+    f = num / num[0]
+    q = num[1:] / num[:-1]
+    return ScaledChannel(t=t, perm=SignedPermutation(perm=order, sign=sign), f=f, q=q)
 
 
 def scale_channel(ch: ChannelInstance) -> np.ndarray:
@@ -239,20 +232,7 @@ def canonicalize(t_raw) -> ScaledChannel:
     t_raw = _as_vector(t_raw, "t_raw")
     if np.any(np.abs(t_raw) >= 1.0):
         raise ValueError("every entry of t_raw must satisfy |t_i| < 1")
-    perm = _canonical_order(t_raw)
-    t = perm.apply(t_raw)
-    sq = np.square(t)
-    suffix = np.zeros(t.size + 1)
-    suffix[:-1] = np.cumsum(sq[::-1])[::-1]
-    tnorm2 = float(suffix[0])
-    residual = 1.0 - tnorm2
-    if residual <= 0.0:
-        raise ValueError("||t_raw|| must be strictly less than 1")
-    f = residual + suffix
-    f[0] = 1.0
-    np.minimum.accumulate(f, out=f)
-    q = np.minimum(f[1:] / f[:-1], 1.0)
-    return ScaledChannel(t=t, perm=perm, f=f, q=q, tnorm2=tnorm2)
+    return _build(t_raw, t_raw, lambda suffix: (1.0 - suffix[0]) + suffix)
 
 
 def restore(perm: SignedPermutation, a) -> np.ndarray:

@@ -53,10 +53,6 @@ class CandidateList:
     def objectives(self) -> tuple:
         return tuple(e.objective for e in self.entries)
 
-    @property
-    def vectors(self) -> tuple:
-        return tuple(e.a for e in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -65,6 +61,13 @@ class CandidateList:
 
     def __getitem__(self, i):
         return self.entries[i]
+
+
+def _require_count(value, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` unless an integer of at least 1."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def _insert(vecs: list, objs: list, a: list, alpha: float, limit: int) -> None:
@@ -95,8 +98,7 @@ def list_search(sc: ScaledChannel, L: int) -> CandidateList:
     at 1; afterwards every insertion replaces the current worst member and
     the radius drops to the new worst objective.
     """
-    if not _is_integer(L) or L < 1:
-        raise ValueError(f"L must be an integer of at least 1, got {L!r}")
+    _require_count(L, "L")
     n = sc.n
     t = sc.t.tolist()
     f = sc.f.tolist()

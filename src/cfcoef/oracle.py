@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .core import _as_vector
-from .listsearch import Candidate, CandidateList
+from .listsearch import Candidate, CandidateList, _require_count
 from .search import SearchResult
 
 __all__ = [
@@ -46,24 +46,24 @@ class OracleInfeasibleError(ValueError):
 
 def _check_t(t) -> tuple:
     t = _as_vector(t, "t")
-    tnorm2 = float(np.dot(t, t))
-    if np.any(np.abs(t) >= 1.0) or tnorm2 >= 1.0:
+    norm2 = float(np.dot(t, t))
+    if np.any(np.abs(t) >= 1.0) or norm2 >= 1.0:
         raise ValueError("t must satisfy ||t|| < 1 with every |t_i| < 1")
-    if 1.0 - tnorm2 < 1e-12:
+    if 1.0 - norm2 < 1e-12:
         raise OracleInfeasibleError("1 - ||t||^2 is below the enumeration floor")
-    return t, tnorm2
+    return t, norm2
 
 
 def svp_box_bound(t) -> int:
     """Half-width of a box guaranteed to contain a global minimizer."""
-    t, tnorm2 = _check_t(t)
+    t, norm2 = _check_t(t)
     tmax2 = float(np.max(np.square(t)))
-    return math.ceil(math.sqrt((1.0 - tmax2) / (1.0 - tnorm2)))
+    return math.ceil(math.sqrt((1.0 - tmax2) / (1.0 - norm2)))
 
 def topl_box_bound(t) -> int:
     """Half-width of a box containing every vector with objective below 1."""
-    _, tnorm2 = _check_t(t)
-    return math.ceil(math.sqrt(1.0 / (1.0 - tnorm2)))
+    _, norm2 = _check_t(t)
+    return math.ceil(math.sqrt(1.0 / (1.0 - norm2)))
 
 
 def _require_enumerable(B: int, n: int) -> int:
@@ -129,7 +129,7 @@ def brute_force_svp(t, box: int | None = None) -> SearchResult:
     for checking that enlarging the box never changes the optimum.
     """
     t, _ = _check_t(t)
-    B = svp_box_bound(t) if box is None else int(box)
+    B = svp_box_bound(t) if box is None else _require_count(box, "box")
     _require_enumerable(B, t.size)
     best, best_obj, _, examined = _scan_best_two(t, B)
     inner = float(best @ t)
@@ -145,7 +145,7 @@ def brute_force_best_two(t, box: int | None = None) -> tuple:
     to global sign.
     """
     t, _ = _check_t(t)
-    B = svp_box_bound(t) if box is None else int(box)
+    B = svp_box_bound(t) if box is None else _require_count(box, "box")
     _require_enumerable(B, t.size)
     _, best_obj, second_obj, _ = _scan_best_two(t, B)
     return best_obj, second_obj
@@ -153,11 +153,9 @@ def brute_force_best_two(t, box: int | None = None) -> tuple:
 
 def brute_force_topl(t, L: int, box: int | None = None) -> CandidateList:
     """All-objectives-below-1 enumeration, sorted and truncated to ``L``."""
-    L = int(L)
-    if L < 1:
-        raise ValueError("L must be at least 1")
+    L = _require_count(L, "L")
     t, _ = _check_t(t)
-    B = topl_box_bound(t) if box is None else int(box)
+    B = topl_box_bound(t) if box is None else _require_count(box, "box")
     _require_enumerable(B, t.size)
     survivors = []
     for coords, obj in _half_box(t, B):

@@ -62,6 +62,12 @@ class TestTrialConfig:
         cfg = TrialConfig(mode="solve", n=2, snr_db=20.0, trials=1, seed=0)
         assert cfg.P == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+    def test_rejects_unusable_snr(self, snr_db):
+        # 10^(dB/10) overflows above about 3083 dB and underflows to 0 below -3240
+        with pytest.raises(ValueError, match="snr_db"):
+            TrialConfig(mode="solve", n=2, snr_db=snr_db, trials=1, seed=0)
+
     @pytest.mark.parametrize(
         "field, value",
         [("n", 2.5), ("n", True), ("trials", 10.0), ("seed", 1.5), ("seed", False),
@@ -168,6 +174,7 @@ class TestEmitReport:
         text = emit_report(report, fmt="csv")
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 2
+        assert rows[0][:7] == ["mode", "n", "snr_db", "trials", "seed", "list_size", "wall_time"]
         record = {k: json.loads(v) for k, v in zip(rows[0], rows[1])}
         assert record["result.e1_fraction"] == report.result["e1_fraction"]
         assert record["trials"] == 30
@@ -269,6 +276,17 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["mismatches"] == []
         assert record["checked"] + record["refused"] == 25
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--h", "1 2"],
+        ["list", "--h", "1 2", "--l", "2"],
+        ["bench", "--mode", "solve", "--n", "2", "--trials", "1"],
+        ["oracle-check", "--n", "2", "--trials", "1"],
+    ])
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000", "nan", "-inf"])
+    def test_unusable_snr_is_an_error(self, argv, snr_db, capsys):
+        assert main(argv + [f"--snr-db={snr_db}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_channel_is_an_error(self):
         with pytest.raises(SystemExit):

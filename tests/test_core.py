@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from cfcoef import (
     e1_is_optimal,
     objective_lower_bound,
     restore,
+    sample_channel,
     scale_channel,
+    trial_rng,
 )
 from conftest import make_channel
 
@@ -90,13 +93,13 @@ class TestCanonicalize:
         sc = canonicalize([0.8, 0.4])
         assert sc.f == pytest.approx([1.0, 0.36, 0.2], rel=1e-12)
         assert sc.q == pytest.approx([0.36, 5.0 / 9.0], rel=1e-12)
-        assert sc.tnorm2 == pytest.approx(0.8)
+        assert float(sc.t @ sc.t) == pytest.approx(0.8)
 
     def test_zero_entry_gets_positive_sign(self):
         sc = canonicalize([0.5, 0.0])
         assert sc.perm.sign.tolist() == [1, 1]
 
-    @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.8, 0.7], [1.2]])
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.8, 0.7], [1.2], [0.8, 0.6, 0.0]])
     def test_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
             canonicalize(bad)
@@ -126,6 +129,63 @@ class TestCanonicalize:
         assert sc.f[-1] > 0.0
         with pytest.raises(ValueError):
             canonicalize(scale_channel(ch))
+
+
+# Frozen construction bits: zlib.crc32 of the little-endian bytes of t, f
+# and q (float64) and of perm.perm and perm.sign (int64).  The tolerance in
+# test_matches_channel_construction cannot see a last-bit change in the tail
+# sums; these literals pin ScaledChannel construction exactly.
+PINNED_FROM_CHANNEL = [  # (n, snr_db, crcs) for sample_channel(n, trial_rng(13, 0))
+    (1, 0, (4252152438, 40142462, 1782157784, 1696784233, 2844319735)),
+    (1, 20, (3008791143, 1453907683, 1056295237, 1696784233, 2844319735)),
+    (1, 40, (742532500, 2856419715, 3256653349, 1696784233, 2844319735)),
+    (1, 100, (689023384, 3703767563, 3030259117, 1696784233, 2844319735)),
+    (2, 0, (732763268, 33746658, 856348858, 1121180356, 3078604529)),
+    (2, 20, (4104586130, 3913032821, 1679743627, 1121180356, 3078604529)),
+    (2, 40, (801513849, 409869469, 991767177, 1121180356, 3078604529)),
+    (2, 100, (1207010907, 1688690003, 1623596410, 1121180356, 3078604529)),
+    (4, 0, (3744842940, 1776940394, 1266539830, 3791614599, 1670874049)),
+    (4, 20, (3073697971, 4097086641, 606305599, 3791614599, 1670874049)),
+    (4, 40, (2808020499, 2669113112, 893233285, 3791614599, 1670874049)),
+    (4, 100, (1182171969, 1528534192, 47112347, 3791614599, 1670874049)),
+    (8, 0, (3800329018, 2583775902, 682562751, 2494311944, 2572096966)),
+    (8, 20, (1638193453, 2028461694, 487757608, 2494311944, 2572096966)),
+    (8, 40, (82268836, 932444154, 3373834344, 2494311944, 2572096966)),
+    (8, 100, (1785392375, 285209682, 1795323845, 2494311944, 2572096966)),
+    (64, 0, (1072866591, 2378414035, 298114998, 949558142, 2639707940)),
+    (64, 20, (4256988159, 174616027, 3774002234, 949558142, 2639707940)),
+    (64, 40, (3840380005, 3222135702, 4190182938, 949558142, 2639707940)),
+    (64, 100, (1887043119, 4104596010, 629979453, 949558142, 2639707940)),
+    (1000, 0, (1977560918, 1408646767, 1331295406, 2657097473, 3376269607)),
+    (1000, 20, (1261093318, 364737017, 2468771416, 2657097473, 3376269607)),
+    (1000, 40, (2349585446, 3770646910, 551276320, 2657097473, 3376269607)),
+    (1000, 100, (1747813639, 3308738110, 4246596552, 2657097473, 3376269607)),
+]
+
+PINNED_CANONICALIZE = [  # (t_raw, crcs)
+    ([-0.3, 0.9, -0.1], (301224762, 3665600763, 3249744763, 1623304314, 4058784328)),
+    ([0.5, 0.5], (3267991542, 102218988, 4199994049, 538004427, 2390350426)),
+    ([0.8, 0.4], (2566932097, 375486778, 3540316826, 538004427, 2390350426)),
+    ([0.5, 0.0], (718358823, 3469620964, 2614936915, 538004427, 2390350426)),
+]
+
+
+def _construction_crcs(sc):
+    floats = [zlib.crc32(np.asarray(a, dtype="<f8").tobytes()) for a in (sc.t, sc.f, sc.q)]
+    ints = [zlib.crc32(np.asarray(a, dtype="<i8").tobytes()) for a in (sc.perm.perm, sc.perm.sign)]
+    return tuple(floats + ints)
+
+
+class TestPinnedConstruction:
+    @pytest.mark.parametrize("n, snr_db, crcs", PINNED_FROM_CHANNEL)
+    def test_from_channel(self, n, snr_db, crcs):
+        h = sample_channel(n, trial_rng(13, 0))
+        sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
+        assert _construction_crcs(sc) == crcs
+
+    @pytest.mark.parametrize("t_raw, crcs", PINNED_CANONICALIZE)
+    def test_canonicalize(self, t_raw, crcs):
+        assert _construction_crcs(canonicalize(t_raw)) == crcs
 
 
 class TestRestore:
@@ -201,7 +261,7 @@ class TestCholeskyFactor:
             n = int(rng.integers(2, 16))
             sc = ScaledChannel.from_channel(make_channel(rng, n, 10.0))
             r_kk = np.sqrt(sc.q)
-            floor = math.sqrt(1.0 - sc.tnorm2)
+            floor = math.sqrt(1.0 - float(sc.t @ sc.t))
             for k in range(n):
                 tail = float(np.prod(r_kk[k:]))
                 assert tail == pytest.approx(math.sqrt(sc.f[-1] / sc.f[k]), rel=1e-10)
@@ -312,7 +372,7 @@ class TestObjectiveLowerBound:
         for _ in range(200):
             n = int(rng.integers(2, 10))
             sc = ScaledChannel.from_channel(make_channel(rng, n, float(rng.choice([1.0, 10.0, 100.0]))))
-            assert objective_lower_bound(sc) >= math.sqrt(1.0 - sc.tnorm2) - 1e-12
+            assert objective_lower_bound(sc) >= math.sqrt(1.0 - float(sc.t @ sc.t)) - 1e-12
 
     def test_bound_below_optimum_thousand_instances(self, rng):
         from cfcoef import brute_force_svp
@@ -337,20 +397,17 @@ class TestTypeValidation:
     def test_scaled_channel_requires_sorted_t(self):
         good = canonicalize([0.5, 0.4])
         with pytest.raises(ValueError):
-            ScaledChannel(t=[0.4, 0.5], perm=good.perm, f=good.f, q=good.q,
-                          tnorm2=good.tnorm2)
+            ScaledChannel(t=[0.4, 0.5], perm=good.perm, f=good.f, q=good.q)
 
     def test_scaled_channel_requires_positive_f(self):
         good = canonicalize([0.5, 0.4])
         with pytest.raises(ValueError):
-            ScaledChannel(t=good.t, perm=good.perm, f=[1.0, 0.75, 0.0],
-                          q=good.q, tnorm2=good.tnorm2)
+            ScaledChannel(t=good.t, perm=good.perm, f=[1.0, 0.75, 0.0], q=good.q)
 
     def test_scaled_channel_requires_unit_interval_q(self):
         good = canonicalize([0.5, 0.4])
         with pytest.raises(ValueError):
-            ScaledChannel(t=good.t, perm=good.perm, f=good.f, q=[0.75, 1.5],
-                          tnorm2=good.tnorm2)
+            ScaledChannel(t=good.t, perm=good.perm, f=good.f, q=[0.75, 1.5])
 
     def test_single_coordinate_factor(self):
         R = cholesky_factor(canonicalize([0.6]))

@@ -95,6 +95,14 @@ class TestBruteForceSvp:
         with pytest.raises(OracleInfeasibleError):
             brute_force_svp(t)
 
+    @pytest.mark.parametrize("oracle", [brute_force_svp, brute_force_best_two,
+                                        lambda t, box: brute_force_topl(t, 3, box=box)])
+    @pytest.mark.parametrize("box", [-2, 0, 2.7, True])
+    def test_rejects_bad_box(self, oracle, box):
+        # unchecked, box=-2 runs and returns [2, 1], missing the optimum [1, 1]
+        with pytest.raises(ValueError, match="box must be an integer"):
+            oracle([0.75, 0.65], box=box)
+
     def test_refuses_point_explosion(self):
         c = math.sqrt(48.0 / 391.0)
         t = [c] * 8
@@ -144,3 +152,9 @@ class TestBruteForceTopL:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             brute_force_topl([0.5, 0.1], 0)
+
+    @pytest.mark.parametrize("L", [2.7, True])
+    def test_rejects_non_integer_request(self, L):
+        # list_search rejects a non-integer L, so the reference must not truncate it
+        with pytest.raises(ValueError, match="L must be an integer"):
+            brute_force_topl([0.5, 0.1], L)
