@@ -227,15 +227,23 @@ def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:
     """Run the configured mode over all trials and aggregate.
 
-    ``parallel`` > 1 distributes trials over worker processes; because each
-    trial reseeds from ``(seed, trial)`` and the reduction is performed in
-    trial order, the ``result`` field is identical at any parallelism.
+    ``parallel`` > 1 distributes trials over ``min(parallel, trials)``
+    worker processes; because each trial reseeds from ``(seed, trial)`` and
+    the reduction is performed in trial order, the ``result`` field is
+    identical at any parallelism.
+
+    Raises
+    ------
+    ValueError
+        If ``parallel`` is not an integer >= 1.
     """
+    if not _is_integer(parallel) or parallel < 1:
+        raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
     start = time.perf_counter()
     args = [(cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, j) for j in range(cfg.trials)]
     if parallel > 1:
         chunk = max(1, cfg.trials // (parallel * 8))
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, cfg.trials)) as pool:
             rows = list(pool.map(_run_one, args, chunksize=chunk))
     else:
         rows = [_run_one(arg) for arg in args]

@@ -11,6 +11,12 @@ three callers: :func:`modified_search` shrinks its radius to find the
 optimum, while :func:`count_tree_nodes` and :func:`count_visited_nodes`
 hold the radius at ``q[0]`` and count feasible partial assignments and
 tested candidates, the complexity meter used by the benchmark harness.
+
+At large ``n`` the walk's cost is mostly one O(n) scan: its opening climb
+from level 0 through untouched levels at radius ``q[0]``, which reads only
+``t``, ``f`` and ``q``.  From :data:`_VECTOR_SCAN_MIN_N` levels on that scan
+runs as one numpy pass (:func:`_opening_scan`) with the same float values,
+so node counts, leaves and incumbents do not change.
 """
 
 from __future__ import annotations
@@ -39,6 +45,14 @@ __all__ = [
 ]
 
 
+# Smallest n whose opening look-ahead runs as one numpy pass.  Whole-walk
+# medians on Gaussian channels at 10-40 dB (BENCH_7.json, "cutover"): summed
+# over those SNRs the per-level scan is faster up to n = 96 and the numpy
+# pass from n = 128 (401 vs 419 us; it still loses 4% at 40 dB there), and
+# from n = 192 the numpy pass is never slower.
+_VECTOR_SCAN_MIN_N = 128
+
+
 def _round_nearest(x: float) -> int:
     """Nearest integer, with exact .5 ties resolved toward zero."""
     r = math.floor(x + 0.5)
@@ -49,6 +63,35 @@ def _round_nearest(x: float) -> int:
 
 def _sgn(x) -> int:
     return 1 if x >= 0 else -1
+
+
+def _clipped_round(d: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(_round_nearest(x), 1)`` as floats."""
+    r = np.floor(d + 0.5)
+    r -= (r - d == 0.5) & (r > 0)
+    return np.maximum(r, 1.0, out=r)
+
+
+def _opening_scan(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
+    """The walk's first look-ahead over levels ``1..n-1`` in one numpy pass.
+
+    Returns ``(j, nodes)``: the first level where the descent or the
+    ``a[j] = 2`` test passes at radius ``q[0]`` (``n`` if none does), and the
+    radius tests the walk makes before it tests ``a[j] = 1`` there.  Each
+    value is the float the per-level scan computes: ``r`` is
+    :func:`_round_nearest` clipped at 1 (``ceil(d - 0.5)`` would differ from
+    ``2**52`` on), and ``np.float_power`` rounds the square like Python's
+    ``** 2``, where ``np.power`` and ``d * d`` do not always.  Since both
+    tests' values are at least ``q[j]``, their minimum is below ``q[0]``
+    exactly when the scan's ``q[j] < q[0]`` test and one of them pass.
+    """
+    q0 = q[0]
+    d = t[:-1] * t[1:] / f[1:-1]
+    r = _clipped_round(d)
+    lead = np.minimum(q[1:] + q[:-1] * np.float_power(r - d, 2), 4.0 * q[1:])
+    hits = np.flatnonzero(lead < q0)
+    j = int(hits[0]) + 1 if hits.size else q.size
+    return j, j + 2 * int(np.count_nonzero(q[1:j] < q0))
 
 
 @dataclass(frozen=True)
@@ -115,11 +158,25 @@ def _constrained_walk(sc: ScaledChannel, shrink: bool) -> tuple:
     only reach a skipped level again by descending into it from above, and
     that descent rewrites every value of the level before it is read.
 
+    Opening scan: for ``n >= 2`` the first test, ``a[0] = 1`` against
+    ``q[0]``, always fails, so the first look-ahead starts at level 1 with
+    radius ``q[0]`` and nothing written.  From ``_VECTOR_SCAN_MIN_N`` levels
+    on, :func:`_opening_scan` evaluates it for all levels at once; a scan
+    that passes level ``n-1`` ends the walk before any list is built, and
+    otherwise the walk starts at the hand-over level with the node count
+    the per-level scan would have reached.
+
     Returns ``(best, incumbents, nodes, leaves)``: the last incumbent's
     ``a[:n]`` (None while it is the first unit vector), the successive
     squared radii from ``q[0]``, the radius tests and the passing leaves.
     """
     n = sc.n
+    k = top = nodes = 0  # top: highest level entered; all above are untouched
+    if n >= _VECTOR_SCAN_MIN_N:
+        k, nodes = _opening_scan(sc.t, sc.f, sc.q)
+        if k == n:
+            return None, [float(sc.q[0])], nodes, 0
+        top = k
     t = sc.t.tolist()
     f = sc.f.tolist()
     q = sc.q.tolist()
@@ -128,16 +185,13 @@ def _constrained_walk(sc: ScaledChannel, shrink: bool) -> tuple:
     d = [0.0] * n
     sig = [0.0] * n
     a = [0] * (n + 1)  # a[n] is the fixed sentinel lower bound for level n-1
-    a[0] = 1
+    a[k] = 1
     s = [1] * n
     flag = [1] * n
-    k = 0
-    top = 0  # highest level entered so far; all levels above it are untouched
     beta2 = q[0]
-    delta = q[0]
+    delta = q[k]
     best = None
     incumbents = [beta2]
-    nodes = 0
     leaves = 0
 
     while True:

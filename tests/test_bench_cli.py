@@ -143,6 +143,36 @@ class TestRunTrials:
         pooled = run_trials(cfg, parallel=2)
         assert serial.result == twice.result == pooled.result
 
+    @pytest.mark.parametrize("parallel", [0, -2, True, 2.5, "2"])
+    def test_rejects_unusable_parallel(self, parallel):
+        cfg = TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=4, seed=1)
+        with pytest.raises(ValueError, match="parallel"):
+            run_trials(cfg, parallel=parallel)
+
+    def test_pool_never_outnumbers_trials(self, monkeypatch):
+        # a recorder stands in for the pool, so no worker process starts
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=3, seed=8)
+        capped = run_trials(cfg, parallel=64)
+        run_trials(TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=40, seed=8), parallel=2)
+        assert requested == [3, 2]
+        assert capped.result == run_trials(cfg, parallel=1).result
+
 
 class TestEmitReport:
     def make_report(self, **kw):
@@ -286,6 +316,12 @@ class TestCli:
     @pytest.mark.parametrize("snr_db", ["4000", "-4000", "nan", "-inf"])
     def test_unusable_snr_is_an_error(self, argv, snr_db, capsys):
         assert main(argv + [f"--snr-db={snr_db}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_unusable_parallel_is_an_error(self, parallel, capsys):
+        argv = ["bench", "--mode", "e1_freq", "--n", "2", "--snr-db", "0", "--trials", "3"]
+        assert main(argv + [f"--parallel={parallel}"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_channel_is_an_error(self):

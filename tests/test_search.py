@@ -24,6 +24,8 @@ from cfcoef import (
     solve,
     trial_rng,
 )
+from cfcoef import search
+from cfcoef.search import _clipped_round, _constrained_walk, _round_nearest
 from conftest import feasible_instance, make_channel, same_up_to_sign
 
 
@@ -251,6 +253,63 @@ PINNED_COUNTS = [
 ]
 
 
+# Frozen outputs around the opening scan's cut-over: (n, snr_db, head, trial,
+# nodes_visited, incumbents as float.hex, nonzero prefix of the canonical a,
+# count_tree_nodes, count_visited_nodes), recorded before the scan had a
+# numpy form.  Channels are trial_rng(17, trial) draws whose first ``head``
+# gains are made strong (see _head_channel).  j is the level where the
+# opening scan hands over, n when it passes level n-1 and ends the walk:
+#   head 0 at 0 and 20 dB (and n=2000 at 40 dB): j = n;
+#   head 0 at 40 and 60 dB otherwise: j between 120 and 1989, one incumbent;
+#   head 2: j = 1, one improvement to [1, 1];
+#   head 12: j = 9, then two improvements.
+PINNED_CUTOVER = [
+    (127, 0, 0, 0, 127, ("0x1.e14d25a254691p-1",), [1], 127, 126),
+    (127, 20, 0, 0, 217, ("0x1.e1156c3b9bf57p-1",), [1], 172, 216),
+    (127, 40, 0, 0, 443, ("0x1.e114dc8ea0d43p-1",), [1], 285, 442),
+    (127, 60, 0, 0, 3535, ("0x1.e114db1ecac60p-1",), [1], 1831, 3534),
+    (128, 0, 0, 0, 128, ("0x1.e18c06b76e685p-1",), [1], 128, 127),
+    (128, 20, 0, 0, 220, ("0x1.e1553179b05b8p-1",), [1], 174, 219),
+    (128, 40, 0, 0, 446, ("0x1.e154a41b0e0a5p-1",), [1], 287, 445),
+    (128, 60, 0, 0, 3548, ("0x1.e154a2b11f6f5p-1",), [1], 1838, 3547),
+    (129, 0, 0, 0, 129, ("0x1.e18ce05356e6ap-1",), [1], 129, 128),
+    (129, 20, 0, 0, 223, ("0x1.e1560e27f3e10p-1",), [1], 176, 222),
+    (129, 40, 0, 0, 443, ("0x1.e15580d1441bfp-1",), [1], 286, 442),
+    (129, 60, 0, 0, 3535, ("0x1.e1557f6769d9fp-1",), [1], 1832, 3534),
+    (300, 0, 0, 0, 300, ("0x1.f1370fb5318abp-1",), [1], 300, 299),
+    (300, 20, 0, 0, 508, ("0x1.f12a2eed8ca96p-1",), [1], 404, 507),
+    (300, 40, 0, 0, 564, ("0x1.f12a0dd8ca003p-1",), [1], 432, 563),
+    (300, 60, 0, 0, 2004, ("0x1.f12a0d84193a9p-1",), [1], 1152, 2003),
+    (2000, 0, 0, 0, 2528, ("0x1.fcaf6b79563a5p-1",), [1], 2264, 2527),
+    (2000, 20, 0, 0, 2934, ("0x1.fcaf0294f6ae6p-1",), [1], 2467, 2933),
+    (2000, 40, 0, 0, 2950, ("0x1.fcaf01884f150p-1",), [1], 2475, 2949),
+    (2000, 60, 0, 0, 3208, ("0x1.fcaf01859f529p-1",), [1], 2604, 3207),
+    (127, 20, 2, 0, 130, ("0x1.caa78f29b502dp-2", "0x1.e423fa68f71e2p-5"), [1, 1], 132, 133),
+    (2000, 60, 2, 1, 2009, ("0x1.be4428ad09d9bp-2", "0x1.2308b4ba003f2p-4"), [1, 1], 2030, 2056),
+    (128, 40, 12, 0, 276,
+     ("0x1.b6cedaf576879p-1", "0x1.72142dd009246p-1", "0x1.3983c6ea47dcdp-1"), [1] * 12, 307, 483),
+    (300, 0, 12, 1, 362,
+     ("0x1.ac3a046af3ddep-1", "0x1.876fb17bf4decp-1", "0x1.ff3dfc0116992p-2"), [1] * 12, 372, 439),
+    (2000, 20, 12, 2, 2060,
+     ("0x1.b7361629ce58cp-1", "0x1.1eedb1f5dc015p-1", "0x1.cf007981de58fp-2"), [1] * 12,
+     2066, 2128),
+    (129, 60, 12, 2, 379,
+     ("0x1.b74b36306339ap-1", "0x1.24fcf7cfc9b6bp-1", "0x1.dc686231dd0d2p-2"), [1] * 12,
+     1115, 2097),
+]
+
+
+def _head_channel(n, head, trial):
+    """A trial_rng(17, trial) draw with its first ``head`` gains made strong."""
+    h = sample_channel(n, trial_rng(17, trial))
+    h[:head] = 4.0 * np.sqrt(n) * (1.0 + 0.2 * h[:head])
+    return h
+
+
+def _scaled(h, snr_db):
+    return ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
+
+
 def _pinned_search(n, snr_db, seed, trial):
     h = sample_channel(n, trial_rng(seed, trial))
     sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
@@ -287,6 +346,68 @@ class TestPinnedTraversal:
         sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
         assert count_tree_nodes(sc) == tree
         assert count_visited_nodes(sc) == visited
+
+    @pytest.mark.parametrize(
+        "n, snr_db, head, trial, nodes, incumbents, prefix, tree, visited", PINNED_CUTOVER
+    )
+    def test_cutover(self, n, snr_db, head, trial, nodes, incumbents, prefix, tree, visited):
+        sc = _scaled(_head_channel(n, head, trial), snr_db)
+        _assert_pinned(modified_search(sc), nodes, incumbents, prefix)
+        assert count_tree_nodes(sc) == tree
+        assert count_visited_nodes(sc) == visited
+
+
+class TestOpeningScan:
+    """The numpy opening scan against the per-level scan it replaces."""
+
+    def test_cutover_settings_agree(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        channels = [canonicalize([0.84, 0.5257142857142858])]  # descent center 1.5
+        # PINNED_EDGES reach every hand-over branch; in the two n=3 rows
+        # after them q[0]/q[2] is 3.37 and 4.006, so the a[2] = 2 test alone
+        # decides whether the scan hands over
+        edges = [row[:3] for row in PINNED_EDGES] + [(3, 30, 375), (3, 40, 774)]
+        for n, snr_db, trial in edges:
+            channels.append(_scaled(sample_channel(n, trial_rng(7, trial)), snr_db))
+        for i in range(90):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(2000))))
+            g = sample_channel(n, trial_rng(29, i))
+            snr_db = rng.uniform(0.0, 80.0)
+            if i % 3 == 1:
+                # integer gains: ties and zeros; above ~40 dB their
+                # fixed-radius trees reach millions of nodes
+                g = np.round(2.0 * g) + (0.0 if g.any() else 1.0)
+                snr_db /= 2.0
+            elif i % 3 == 2:
+                g = _head_channel(n, int(rng.integers(1, 13)), i)
+            channels.append(_scaled(g, snr_db))
+        ends = handovers = 0
+        for sc in channels:
+            walks = []
+            for cutover in (1, sc.n + 1):
+                monkeypatch.setattr(search, "_VECTOR_SCAN_MIN_N", cutover)
+                walks.append([_constrained_walk(sc, shrink) for shrink in (True, False)])
+            assert walks[0] == walks[1]
+            j, _ = search._opening_scan(sc.t, sc.f, sc.q)
+            ends += j == sc.n
+            handovers += j < sc.n
+        assert ends > 10 and handovers > 10
+
+    def test_float_power_squares_like_python(self):
+        # the per-level scan squares with C pow through ``**``; a platform
+        # whose numpy rounds one square differently would move node counts
+        rng = np.random.default_rng(37)
+        x = np.exp(rng.uniform(np.log(1e-150), np.log(1e150), 200_000))
+        x *= rng.choice([-1.0, 1.0], x.size)
+        assert np.float_power(x, 2).tolist() == [v ** 2 for v in x.tolist()]
+
+    def test_clipped_round_matches_round_nearest(self):
+        xs = [0.0, 5e-324, 0.49999999999999994, 0.5, 1.4999999999999998, 1.5, 2.5,
+              2.0**52 - 0.5, 2.0**52 + 1, 2.0**53 + 2, 1e300]
+        expected = [float(max(_round_nearest(x), 1)) for x in xs]
+        assert _clipped_round(np.array(xs)).tolist() == expected
+        # where ceil(d - 0.5) would part from the walk's rounding
+        assert expected[8] == 2.0**52 + 2
 
 
 class TestNodeCounters:
