@@ -3,7 +3,15 @@
 Every trial ``j`` of a run draws its channel from a generator seeded by
 the pair ``(seed, j)``, so results do not depend on execution order or on
 the degree of parallelism; aggregation is a deterministic reduction over
-trial index.  Supported modes:
+trial index.
+
+Trials run in chunks.  A chunk stacks its channels into one ``(m, n)``
+array, validates it once and, outside ``list`` mode, builds all its
+scaled channels as 2-D arrays with one call of the builder behind
+:meth:`~cfcoef.core.ScaledChannel.from_channel`; only the search runs per
+trial.  Each row is the same float the single-channel calls give, so the
+``result`` bytes and per-trial rows do not depend on the chunk size.
+Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
 * ``node_ratio``  - fixed-radius tree size relative to ``n*sqrt(1+P*||h||^2)``,
@@ -28,14 +36,19 @@ import numpy as np
 from .core import (
     ChannelInstance,
     NumericDegeneracyError,
-    ScaledChannel,
+    _channel_rows,
+    _check_channels,
+    _check_scaled,
+    _check_signed_permutations,
+    _e1_optimal,
+    _invert,
     _is_integer,
-    computation_rate,
-    e1_is_optimal,
-    scale_channel,
+    _quadratic_form,
+    _rate,
+    _scale_rows,
 )
 from .listsearch import list_solve
-from .search import count_visited_nodes, solve
+from .search import _search_step, _visited_nodes
 
 __all__ = [
     "MODES",
@@ -127,57 +140,90 @@ def sample_channel(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(n)
 
 
+def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: np.ndarray) -> list:
+    """Per channel row, the quadratic forms of the dominance candidates.
+
+    The candidates are every unit vector, then each nonzero quantized
+    ``round(c * t_raw)`` for ``c`` in 1..4, in that order.  Each value is the
+    float :func:`~cfcoef.core.computation_rate` evaluates: for ``e_i`` the
+    inner product ``h . e_i`` is exactly ``h_i``, so one array expression
+    serves every row; the quantized candidates take one ``np.dot`` per row,
+    which sums in the same order as the single-channel call.
+    """
+    rows = (1.0 - P * h * h / (1.0 + P * hnorm2)[:, None]).tolist()
+    hnorm2 = hnorm2.tolist()
+    for c in range(1, 5):
+        cands = np.rint(c * t_raw).astype(np.int64)
+        for i in np.flatnonzero(cands.any(axis=1)).tolist():
+            rows[i].append(_quadratic_form(h[i], P, hnorm2[i], cands[i].astype(np.float64)))
+    return rows
+
+
+def _count_beating(denominators: list, best_rate: float) -> int:
+    """Candidates whose rate beats ``best_rate``; the first degenerate one raises."""
+    return sum(_rate(denom) > best_rate + _RATE_SLACK for denom in denominators)
+
+
 def _dominance_violations(ch: ChannelInstance, best_rate: float) -> int:
     """Candidates that would beat the reported optimum (there should be none).
 
     Checks every unit vector and the quantized candidates
     ``round(c * t_raw)`` for ``c`` in 1..4.
     """
-    violations = 0
-    n = ch.n
-    unit = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        unit[i] = 1
-        if computation_rate(ch, unit) > best_rate + _RATE_SLACK:
-            violations += 1
-        unit[i] = 0
-    t_raw = scale_channel(ch)
-    for c in range(1, 5):
-        cand = np.rint(c * t_raw).astype(np.int64)
-        if np.any(cand):
-            if computation_rate(ch, cand) > best_rate + _RATE_SLACK:
-                violations += 1
-    return violations
+    t_raw, hnorm2 = _scale_rows(ch.h[None], ch.P)
+    return _count_beating(_dominance_denominators(ch.h[None], ch.P, hnorm2, t_raw)[0], best_rate)
 
 
-def _run_one(args) -> tuple:
-    """One trial; returns (trial index, mode-specific value, error or None)."""
-    mode, n, P, seed, list_size, j = args
-    rng = trial_rng(seed, j)
-    h = sample_channel(n, rng)
-    ch = ChannelInstance(h=h, P=P)
-    try:
+def _run_chunk(args) -> list:
+    """Trials ``lo..hi-1`` of a run as ``(trial, value, error or None)`` rows.
+
+    Every trial draws its channel from its own ``(seed, trial)`` stream.  The
+    chunk stacks the channels into one ``(m, n)`` array and validates it
+    once; outside list mode it also builds every scaled channel with one
+    2-D ``_build`` and checks the rows once.  The search, and the whole of
+    ``list_solve``, runs per trial.
+    """
+    mode, n, P, seed, list_size, lo, hi = args
+    h = np.stack([sample_channel(n, trial_rng(seed, j)) for j in range(lo, hi)])
+    _check_channels(h)
+    if mode == "list":
+        def value(i):
+            entries = list_solve(ChannelInstance(h=h[i], P=P), list_size)
+            return len(entries), entries[0][1] if entries else 0.0
+    else:
+        t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
+        _check_scaled(t, f, q)
+        _check_signed_permutations(order, sign)
         if mode == "e1_freq":
-            sc = ScaledChannel.from_channel(ch)
-            value = (1 if e1_is_optimal(sc) else 0,)
+            hits = _e1_optimal(t, f).tolist()
+
+            def value(i):
+                return (int(hits[i]),)
         elif mode == "node_ratio":
-            sc = ScaledChannel.from_channel(ch)
-            nodes = count_visited_nodes(sc)
-            norm = n * math.sqrt(1.0 + P * float(np.dot(h, h)))
-            value = (nodes, nodes / norm)
-        elif mode == "rate_avg":
-            out = solve(ch)
-            value = (out.rate, _dominance_violations(ch, out.rate))
-        elif mode == "list":
-            entries = list_solve(ch, list_size)
-            top = entries[0][1] if entries else 0.0
-            value = (len(entries), top)
-        else:  # solve
-            out = solve(ch)
-            value = (out.rate, out.nodes_visited, 1 if out.used_shortcut else 0)
-        return j, value, None
-    except NumericDegeneracyError as exc:
-        return j, None, str(exc)
+            norms = [n * math.sqrt(1.0 + P * x) for x in hnorm2.tolist()]
+
+            def value(i):
+                nodes = _visited_nodes(t[i], f[i], q[i])
+                return nodes, nodes / norms[i]
+        else:
+            hnorm2_list = hnorm2.tolist()
+            if mode == "rate_avg":
+                denominators = _dominance_denominators(h, P, hnorm2, t_raw)
+
+            def value(i):
+                a, _, nodes, shortcut = _search_step(t[i], f[i], q[i], True)
+                a = _invert(order[i], sign[i], a)
+                rate = _rate(_quadratic_form(h[i], P, hnorm2_list[i], a.astype(np.float64)))
+                if mode == "rate_avg":
+                    return rate, _count_beating(denominators[i], rate)
+                return rate, nodes, int(shortcut)
+    rows = []
+    for i, j in enumerate(range(lo, hi)):
+        try:
+            rows.append((j, value(i), None))
+        except NumericDegeneracyError as exc:
+            rows.append((j, None, str(exc)))
+    return rows
 
 
 def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
@@ -227,10 +273,12 @@ def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:
     """Run the configured mode over all trials and aggregate.
 
-    ``parallel`` > 1 distributes trials over ``min(parallel, trials)``
-    worker processes; because each trial reseeds from ``(seed, trial)`` and
+    The trials run in chunks of ``max(1, trials // (parallel * 8))``;
+    ``parallel`` > 1 distributes the chunks over ``min(parallel, trials)``
+    worker processes.  Because each trial reseeds from ``(seed, trial)``,
+    every per-trial value is computed from that trial's channel alone, and
     the reduction is performed in trial order, the ``result`` field is
-    identical at any parallelism.
+    identical at any parallelism and chunk size.
 
     Raises
     ------
@@ -240,13 +288,17 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     if not _is_integer(parallel) or parallel < 1:
         raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
     start = time.perf_counter()
-    args = [(cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, j) for j in range(cfg.trials)]
+    size = max(1, cfg.trials // (parallel * 8))
+    chunks = [
+        (cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, lo, min(lo + size, cfg.trials))
+        for lo in range(0, cfg.trials, size)
+    ]
     if parallel > 1:
-        chunk = max(1, cfg.trials // (parallel * 8))
         with ProcessPoolExecutor(max_workers=min(parallel, cfg.trials)) as pool:
-            rows = list(pool.map(_run_one, args, chunksize=chunk))
+            parts = list(pool.map(_run_chunk, chunks))
     else:
-        rows = [_run_one(arg) for arg in args]
+        parts = [_run_chunk(chunk) for chunk in chunks]
+    rows = [row for part in parts for row in part]
     result, per_trial = _aggregate(cfg, rows)
     wall = time.perf_counter() - start
     return TrialReport(

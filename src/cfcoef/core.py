@@ -54,13 +54,51 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_vector(x, name: str) -> np.ndarray:
+def _as_vector(x, name: str, finite: bool = True) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D real vector")
-    if not np.all(np.isfinite(v)):
+    if finite and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must contain only finite values")
     return v
+
+
+# The invariant checks below run along the last axis, so a constructor checks
+# its one vector and ``run_trials`` checks a whole chunk of trials in one call.
+
+
+def _check_channels(h: np.ndarray) -> None:
+    """``ValueError`` unless every channel ``h[..., :]`` is finite and nonzero."""
+    if not np.isfinite(h).all():
+        raise ValueError("h must contain only finite values")
+    if not h.any(axis=-1).all():
+        raise ValueError("zero channel vector is trivial and rejected")
+
+
+def _check_signed_permutations(perm: np.ndarray, sign: np.ndarray) -> None:
+    """``ValueError`` unless each ``perm[..., :]`` permutes ``0..n-1`` and
+    every ``sign`` entry is +1 or -1."""
+    if (np.sort(perm, axis=-1) != np.arange(perm.shape[-1])).any():
+        raise ValueError("perm is not a permutation of 0..n-1")
+    if not (np.abs(sign) == 1).all():
+        raise ValueError("sign entries must be +1 or -1")
+
+
+def _check_scaled(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> None:
+    """``ValueError`` unless every row ``t[..., :]``, ``f[..., :]``,
+    ``q[..., :]`` satisfies the invariants of :class:`ScaledChannel`.
+
+    Each test is written so that a nan fails it, and the bounds on ``f``
+    and ``q`` exclude infinities, so only ``t`` needs a finiteness test.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("t must contain only finite values")
+    if not ((t[..., -1] >= 0.0).all() and (t[..., :-1] >= t[..., 1:]).all()):
+        raise ValueError("t must be sorted nonincreasing and nonnegative")
+    if not ((f[..., 0] == 1.0).all() and (f[..., -1] > 0.0).all() and (f[..., :-1] >= f[..., 1:]).all()):
+        raise ValueError("f must start at 1, be nonincreasing, and stay positive")
+    if not ((q > 0.0) & (q <= 1.0)).all():
+        raise ValueError("q entries must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,9 +109,8 @@ class ChannelInstance:
     P: float
 
     def __post_init__(self):
-        h = _as_vector(self.h, "h")
-        if not np.any(h):
-            raise ValueError("zero channel vector is trivial and rejected")
+        h = _as_vector(self.h, "h", finite=False)
+        _check_channels(h)
         P = float(self.P)
         if not math.isfinite(P) or P <= 0.0:
             raise ValueError(f"P must be positive and finite, got {P!r}")
@@ -103,10 +140,7 @@ class SignedPermutation:
         sign = np.asarray(self.sign, dtype=np.int64)
         if perm.ndim != 1 or sign.shape != perm.shape:
             raise ValueError("perm and sign must be 1-D arrays of equal length")
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-            raise ValueError("perm is not a permutation of 0..n-1")
-        if not np.all(np.abs(sign) == 1):
-            raise ValueError("sign entries must be +1 or -1")
+        _check_signed_permutations(perm, sign)
         object.__setattr__(self, "perm", _readonly(perm))
         object.__setattr__(self, "sign", _readonly(sign))
 
@@ -126,9 +160,14 @@ class SignedPermutation:
         y = np.asarray(y)
         if y.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {y.shape}")
-        out = np.empty_like(y)
-        out[self.perm] = self.sign * y
-        return out
+        return _invert(self.perm, self.sign, y)
+
+
+def _invert(perm: np.ndarray, sign: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:meth:`SignedPermutation.invert` on one row's ``perm`` and ``sign``."""
+    out = np.empty_like(y)
+    out[perm] = sign * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,18 +194,13 @@ class ScaledChannel:
     q: np.ndarray
 
     def __post_init__(self):
-        t = _as_vector(self.t, "t")
+        t = _as_vector(self.t, "t", finite=False)
         n = t.size
-        f = _as_vector(self.f, "f")
-        q = _as_vector(self.q, "q")
+        f = _as_vector(self.f, "f", finite=False)
+        q = _as_vector(self.q, "q", finite=False)
         if self.perm.n != n or f.size != n + 1 or q.size != n:
             raise ValueError("inconsistent array lengths")
-        if t[-1] < 0.0 or np.any(np.diff(t) > 0.0):
-            raise ValueError("t must be sorted nonincreasing and nonnegative")
-        if f[0] != 1.0 or f[-1] <= 0.0 or np.any(np.diff(f) > 0.0):
-            raise ValueError("f must start at 1, be nonincreasing, and stay positive")
-        if np.any(q <= 0.0) or np.any(q > 1.0):
-            raise ValueError("q entries must lie in (0, 1]")
+        _check_scaled(t, f, q)
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "f", _readonly(f))
         object.__setattr__(self, "q", _readonly(q))
@@ -184,30 +218,65 @@ class ScaledChannel:
         every entry strictly positive even at SNR values where the direct
         subtraction ``1 - sum(t**2)`` would cancel to zero.
         """
-        return _build(scale_channel(ch), ch.h, lambda suffix: 1.0 + ch.P * suffix)
+        return _first_row(*_channel_rows(ch.h[None], ch.P)[2:])
 
 
-def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> ScaledChannel:
-    """Canonical form of ``t_raw``; ``tail_mass`` maps the tail sums of the
-    reordered squares of ``x`` (``t_raw`` or ``h``) to a multiple of ``f``."""
+def _first_row(t, order, sign, f, q) -> ScaledChannel:
+    """The validated :class:`ScaledChannel` of row 0 of :func:`_build`'s rows."""
+    return ScaledChannel(t=t[0], perm=SignedPermutation(perm=order[0], sign=sign[0]), f=f[0], q=q[0])
+
+
+def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
+    """Canonical form of each row of ``t_raw``, shape ``(m, n)``, unvalidated.
+
+    Returns the rows ``(t, order, sign, f, q)``: ``order`` and ``sign`` are
+    the :class:`SignedPermutation` fields.  ``tail_mass`` maps the tail sums
+    of the reordered squares of ``x`` (``t_raw`` or ``h``) to a multiple of
+    ``f``.  Each row is bit-identical to building it alone: the stable sort's
+    output is unique, the gathers use one flat index, and ``cumsum`` adds
+    along a row in sequence.
+    """
+    m, n = t_raw.shape
     # Stable sort on magnitude, ties kept in original index order; entries
     # equal to zero get sign +1.
-    order = np.argsort(-np.abs(t_raw), kind="stable")
-    sign = np.where(t_raw[order] < 0.0, -1, 1)
-    t = sign * t_raw[order]
-    suffix = np.zeros(t.size + 1)
-    suffix[:-1] = np.cumsum(np.square(x[order])[::-1])[::-1]
+    order = np.argsort(-np.abs(t_raw), axis=1, kind="stable")
+    flat = order + np.arange(0, m * n, n)[:, None]
+    t_sorted = t_raw.take(flat)
+    sign = np.where(t_sorted < 0.0, -1, 1)
+    t = sign * t_sorted
+    suffix = np.zeros((m, n + 1))
+    suffix[:, :-1] = np.cumsum(np.square(x.take(flat))[:, ::-1], axis=1)[:, ::-1]
     num = tail_mass(suffix)
-    # num[-1] is 1 - ||t_raw||^2 up to a positive factor; testing it before
+    # num[:, -1] is 1 - ||t_raw||^2 up to a positive factor; testing it before
     # the divisions keeps a norm-one input from reaching a 0/0
-    if not num[-1] > 0.0:
+    if not np.all(num[:, -1] > 0.0):
         raise ValueError("||t_raw|| must be strictly less than 1")
     # Rounding is monotone, so the cumsum of nonnegative terms, the increasing
-    # affine map and the division by num[0] keep num and f nonincreasing: f[0]
-    # is exactly 1 and every q is at most 1 (ScaledChannel still checks both).
-    f = num / num[0]
-    q = num[1:] / num[:-1]
-    return ScaledChannel(t=t, perm=SignedPermutation(perm=order, sign=sign), f=f, q=q)
+    # affine map and the division by num[:, 0] keep num and f nonincreasing:
+    # f[:, 0] is exactly 1 and every q is at most 1 (_check_scaled still checks both).
+    f = num / num[:, :1]
+    q = num[:, 1:] / num[:, :-1]
+    return t, order, sign, f, q
+
+
+def _scale_rows(h: np.ndarray, P: float) -> tuple:
+    """:func:`scale_channel` for each channel row of ``h``: ``(t_raw, hnorm2)``.
+
+    ``hnorm2`` holds each ``||h||^2`` as one ``np.dot`` per row, the float
+    :func:`computation_rate` uses.
+    """
+    hnorm2 = np.array([np.dot(row, row) for row in h])
+    return h * np.sqrt(P / (1.0 + P * hnorm2))[:, None], hnorm2
+
+
+def _channel_rows(h: np.ndarray, P: float) -> tuple:
+    """:meth:`ScaledChannel.from_channel` for each channel row of ``h``, unvalidated.
+
+    Returns ``(t_raw, hnorm2, t, order, sign, f, q)``: :func:`_scale_rows`,
+    then :func:`_build`'s rows with ``f`` formed from the tail sums of ``h``.
+    """
+    t_raw, hnorm2 = _scale_rows(h, P)
+    return (t_raw, hnorm2) + _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
 
 
 def scale_channel(ch: ChannelInstance) -> np.ndarray:
@@ -216,9 +285,7 @@ def scale_channel(ch: ChannelInstance) -> np.ndarray:
     Returns ``t_raw = sqrt(P / (1 + P ||h||^2)) * h``, which always satisfies
     ``||t_raw|| < 1``.
     """
-    hnorm2 = float(np.dot(ch.h, ch.h))
-    factor = math.sqrt(ch.P / (1.0 + ch.P * hnorm2))
-    return ch.h * factor
+    return _scale_rows(ch.h[None], ch.P)[0][0]
 
 
 def canonicalize(t_raw) -> ScaledChannel:
@@ -232,7 +299,7 @@ def canonicalize(t_raw) -> ScaledChannel:
     t_raw = _as_vector(t_raw, "t_raw")
     if np.any(np.abs(t_raw) >= 1.0):
         raise ValueError("every entry of t_raw must satisfy |t_i| < 1")
-    return _build(t_raw, t_raw, lambda suffix: (1.0 - suffix[0]) + suffix)
+    return _first_row(*_build(t_raw[None], t_raw[None], lambda suffix: (1.0 - suffix[:, :1]) + suffix))
 
 
 def restore(perm: SignedPermutation, a) -> np.ndarray:
@@ -277,10 +344,17 @@ def computation_rate(ch: ChannelInstance, a) -> float:
         raise ValueError(f"a must have length {ch.n}")
     if not np.any(a):
         raise ValueError("the zero coefficient vector has no rate")
-    af = a.astype(np.float64)
-    hnorm2 = float(np.dot(ch.h, ch.h))
-    inner = float(np.dot(ch.h, af))
-    denom = float(np.dot(af, af)) - ch.P * inner * inner / (1.0 + ch.P * hnorm2)
+    return _rate(_quadratic_form(ch.h, ch.P, float(np.dot(ch.h, ch.h)), a.astype(np.float64)))
+
+
+def _quadratic_form(h: np.ndarray, P: float, hnorm2: float, af: np.ndarray) -> float:
+    """``a' G a`` as :func:`computation_rate` evaluates it, for ``af = a`` as floats."""
+    inner = float(np.dot(h, af))
+    return float(np.dot(af, af)) - P * inner * inner / (1.0 + P * hnorm2)
+
+
+def _rate(denom: float) -> float:
+    """:func:`computation_rate` of a vector whose quadratic form is ``denom``."""
     if denom <= 0.0:
         raise NumericDegeneracyError(
             f"quadratic form evaluated to {denom!r}; inputs are numerically degenerate"
@@ -296,10 +370,15 @@ def e1_is_optimal(sc: ScaledChannel) -> bool:
     True iff ``t[i]**2 <= t[0]**2 * f[i]`` for every ``i >= 1``; the
     optimal objective is then ``1 - t[0]**2 = q[0]``.
     """
-    if sc.n == 1:
-        return True
-    sq = np.square(sc.t)
-    return bool(np.all(sq[1:] <= sq[0] * sc.f[1:-1]))
+    return bool(_e1_optimal(sc.t, sc.f))
+
+
+def _e1_optimal(t: np.ndarray, f: np.ndarray):
+    """:func:`e1_is_optimal` along the last axis of ``t`` and ``f``.
+
+    At ``n == 1`` the test runs over no levels and holds.
+    """
+    return (np.square(t[..., 1:]) <= np.square(t[..., :1]) * f[..., 1:-1]).all(axis=-1)
 
 
 def objective_lower_bound(sc: ScaledChannel) -> float:

@@ -29,8 +29,8 @@ import numpy as np
 from .core import (
     ChannelInstance,
     ScaledChannel,
+    _e1_optimal,
     computation_rate,
-    e1_is_optimal,
     restore,
 )
 
@@ -122,8 +122,10 @@ class SolveResult:
     used_shortcut: bool
 
 
-def _constrained_walk(sc: ScaledChannel, shrink: bool) -> tuple:
-    """Walk the constrained tree from the first unit vector, radius ``q[0]``.
+def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool) -> tuple:
+    """Walk the constrained tree of one canonical row ``t``, ``f``, ``q``
+    (the fields of a :class:`~cfcoef.core.ScaledChannel`) from the first
+    unit vector, radius ``q[0]``.
 
     The walk maintains, per level ``k``:
 
@@ -170,16 +172,16 @@ def _constrained_walk(sc: ScaledChannel, shrink: bool) -> tuple:
     ``a[:n]`` (None while it is the first unit vector), the successive
     squared radii from ``q[0]``, the radius tests and the passing leaves.
     """
-    n = sc.n
+    n = t.size
     k = top = nodes = 0  # top: highest level entered; all above are untouched
     if n >= _VECTOR_SCAN_MIN_N:
-        k, nodes = _opening_scan(sc.t, sc.f, sc.q)
+        k, nodes = _opening_scan(t, f, q)
         if k == n:
-            return None, [float(sc.q[0])], nodes, 0
+            return None, [float(q[0])], nodes, 0
         top = k
-    t = sc.t.tolist()
-    f = sc.f.tolist()
-    q = sc.q.tolist()
+    t = t.tolist()
+    f = f.tolist()
+    q = q.tolist()
 
     p = [0.0] * (n + 1)
     d = [0.0] * n
@@ -269,18 +271,34 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     becomes every complete vector the walk finds strictly inside the radius,
     which shrinks to its objective; the last incumbent is optimal.
     """
-    best, incumbents, nodes, _ = _constrained_walk(sc, shrink=True)
-    if best is None:
-        avec = np.zeros(sc.n, dtype=np.int64)
-        avec[0] = 1
-    else:
-        avec = np.array(best, dtype=np.int64)
+    best, incumbents, nodes, _ = _constrained_walk(sc.t, sc.f, sc.q, shrink=True)
     return SearchResult(
-        a=avec,
+        a=_coefficients(best, sc.n),
         objective=float(incumbents[-1]),
         nodes_visited=nodes,
         incumbents=tuple(incumbents),
     )
+
+
+def _coefficients(best, n: int) -> np.ndarray:
+    """The walk's ``best`` as an integer vector; None is the first unit vector."""
+    if best is None:
+        a = np.zeros(n, dtype=np.int64)
+        a[0] = 1
+        return a
+    return np.array(best, dtype=np.int64)
+
+
+def _search_step(t: np.ndarray, f: np.ndarray, q: np.ndarray, use_shortcut: bool) -> tuple:
+    """:func:`solve`'s search on one canonical row: the shortcut, else the walk.
+
+    Returns ``(a, objective, nodes_visited, used_shortcut)`` with ``a`` in
+    canonical coordinates.
+    """
+    if use_shortcut and _e1_optimal(t, f):
+        return _coefficients(None, t.size), float(q[0]), 0, True
+    best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
+    return _coefficients(best, t.size), float(incumbents[-1]), nodes, False
 
 
 def count_tree_nodes(sc: ScaledChannel) -> int:
@@ -299,7 +317,7 @@ def count_tree_nodes(sc: ScaledChannel) -> int:
     climbs one level and every passing test above level 0 descends one, so
     ``passed = (tests - n + leaves) / 2``.
     """
-    _, _, tests, leaves = _constrained_walk(sc, shrink=False)
+    _, _, tests, leaves = _constrained_walk(sc.t, sc.f, sc.q, shrink=False)
     return sc.n + (tests - sc.n + leaves) // 2
 
 
@@ -312,7 +330,12 @@ def count_visited_nodes(sc: ScaledChannel) -> int:
     and is the quantity bounded by ``2 * n * sqrt(1 + P * ||h||^2)`` on
     Gaussian channels.
     """
-    _, _, tests, _ = _constrained_walk(sc, shrink=False)
+    return _visited_nodes(sc.t, sc.f, sc.q)
+
+
+def _visited_nodes(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> int:
+    """:func:`count_visited_nodes` on one canonical row."""
+    _, _, tests, _ = _constrained_walk(t, f, q, shrink=False)
     return tests - 1
 
 
@@ -399,15 +422,7 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
     the search, e.g. when node counts must reflect the full tree.
     """
     sc = ScaledChannel.from_channel(ch)
-    shortcut = use_shortcut and e1_is_optimal(sc)
-    if shortcut:
-        a_canonical = np.zeros(sc.n, dtype=np.int64)
-        a_canonical[0] = 1
-        objective = float(sc.q[0])
-        nodes = 0
-    else:
-        found = modified_search(sc)
-        a_canonical, objective, nodes = found.a, found.objective, found.nodes_visited
+    a_canonical, objective, nodes, shortcut = _search_step(sc.t, sc.f, sc.q, use_shortcut)
     a = restore(sc.perm, a_canonical)
     rate = computation_rate(ch, a)
     return SolveResult(

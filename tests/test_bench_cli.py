@@ -4,17 +4,25 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import cfcoef.bench as bench
 from cfcoef import (
+    ChannelInstance,
     NumericDegeneracyError,
+    ScaledChannel,
     TrialConfig,
+    computation_rate,
+    count_visited_nodes,
+    e1_is_optimal,
     emit_report,
+    list_solve,
     run_trials,
     sample_channel,
+    solve,
     trial_rng,
 )
 from cfcoef.cli import main
@@ -124,17 +132,52 @@ class TestRunTrials:
         assert report.per_trial[0]["trial"] == 0
 
     def test_degenerate_trials_are_recorded(self, monkeypatch):
-        real = bench.solve
+        # the failure is injected into the search step each trial runs
+        real = bench._search_step
+        trial_3 = ScaledChannel.from_channel(ChannelInstance(h=sample_channel(4, trial_rng(7, 3)), P=1.0))
 
-        def flaky(ch, use_shortcut=True):
-            if abs(float(ch.h[0]) - sample_channel(4, trial_rng(7, 3))[0]) < 1e-15:
+        def flaky(t, f, q, use_shortcut):
+            if np.array_equal(t, trial_3.t):
                 raise NumericDegeneracyError("synthetic failure")
-            return real(ch, use_shortcut)
+            return real(t, f, q, use_shortcut)
 
-        monkeypatch.setattr(bench, "solve", flaky)
+        monkeypatch.setattr(bench, "_search_step", flaky)
         cfg = TrialConfig(mode="rate_avg", n=4, snr_db=0.0, trials=10, seed=7)
         report = run_trials(cfg)
         assert report.result["degenerate_trials"] == [3]
+
+    @staticmethod
+    def _replace_trial(monkeypatch, cfg, trial, h):
+        """Make ``bench.sample_channel`` return ``h`` for one trial of ``cfg``."""
+        real = bench.sample_channel
+        marker = real(cfg.n, trial_rng(cfg.seed, trial))
+
+        def draw(n, rng):
+            drawn = real(n, rng)
+            return np.array(h, dtype=np.float64) if np.array_equal(drawn, marker) else drawn
+
+        monkeypatch.setattr(bench, "sample_channel", draw)
+
+    def test_degenerate_dominance_candidate_is_recorded(self, monkeypatch):
+        # at 0 dB, h = [91329529, 0] solves to [1, 0] with a positive
+        # quadratic form, but that of the quantized candidate [3, 0] (c = 3,
+        # after the unit vectors and [1, 0], [2, 0]) cancels to 0.0
+        ch = ChannelInstance(h=[91329529.0, 0.0], P=1.0)
+        rate = solve(ch).rate
+        with pytest.raises(NumericDegeneracyError) as first:
+            computation_rate(ch, [3, 0])
+        with pytest.raises(NumericDegeneracyError, match=re.escape(str(first.value))):
+            bench._dominance_violations(ch, rate)
+        cfg = TrialConfig(mode="rate_avg", n=2, snr_db=0.0, trials=9, seed=7)
+        self._replace_trial(monkeypatch, cfg, 5, ch.h)
+        assert run_trials(cfg).result["degenerate_trials"] == [5]
+
+    @pytest.mark.parametrize("mode", ["e1_freq", "list"])
+    def test_zero_channel_is_rejected(self, monkeypatch, mode):
+        cfg = TrialConfig(mode=mode, n=3, snr_db=0.0, trials=12, seed=7, list_size=2)
+        self._replace_trial(monkeypatch, cfg, 6, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero channel vector is trivial and rejected"):
+            run_trials(cfg)
 
     def test_parallel_result_is_identical(self):
         cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=64, seed=8)
@@ -172,6 +215,61 @@ class TestRunTrials:
         run_trials(TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=40, seed=8), parallel=2)
         assert requested == [3, 2]
         assert capped.result == run_trials(cfg, parallel=1).result
+
+
+def _public_rows(cfg):
+    """Each trial's ``per_trial`` row, and the dominance violations, from public calls."""
+    rows, violations = [], 0
+    for j in range(cfg.trials):
+        ch = ChannelInstance(h=sample_channel(cfg.n, trial_rng(cfg.seed, j)), P=cfg.P)
+        if cfg.mode == "e1_freq":
+            rows.append({"trial": j, "hit": int(e1_is_optimal(ScaledChannel.from_channel(ch)))})
+        elif cfg.mode == "node_ratio":
+            nodes = count_visited_nodes(ScaledChannel.from_channel(ch))
+            norm = cfg.n * math.sqrt(1.0 + cfg.P * float(np.dot(ch.h, ch.h)))
+            rows.append({"trial": j, "nodes": nodes, "ratio": nodes / norm})
+        elif cfg.mode == "list":
+            entries = list_solve(ch, cfg.list_size)
+            rows.append({"trial": j, "length": len(entries), "top_rate": entries[0][1] if entries else 0.0})
+        else:
+            out = solve(ch)
+            if cfg.mode == "rate_avg":
+                rows.append({"trial": j, "rate": out.rate})
+                violations += bench._dominance_violations(ch, out.rate)
+            else:
+                rows.append({"trial": j, "rate": out.rate, "nodes": out.nodes_visited,
+                             "shortcut": int(out.used_shortcut)})
+    return rows, violations
+
+
+class TestChunkedTrials:
+    """``run_trials`` builds each chunk of trials as 2-D arrays; every
+    ``per_trial`` row must still equal the public per-trial calls exactly."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("mode, n, snr_db, trials", [
+        ("e1_freq", 2, 0.0, 1),
+        ("e1_freq", 3, 0.0, 29),
+        ("e1_freq", 200, 10.0, 19),
+        ("node_ratio", 5, 10.0, 37),
+        ("node_ratio", 150, 0.0, 11),
+        ("rate_avg", 8, 20.0, 45),
+        ("rate_avg", 140, 20.0, 10),
+        ("solve", 1, 10.0, 19),
+        ("solve", 130, 30.0, 21),
+        ("list", 3, 10.0, 23),
+    ])
+    def test_rows_match_public_calls(self, mode, n, snr_db, trials, parallel):
+        # trial counts are 1 or not multiples of max(1, trials // (parallel * 8));
+        # n >= 128 reaches the walk's numpy opening scan
+        cfg = TrialConfig(mode=mode, n=n, snr_db=snr_db, trials=trials, seed=31 + n,
+                          list_size=4 if mode == "list" else None)
+        report = run_trials(cfg, parallel=parallel, keep_per_trial=True)
+        rows, violations = _public_rows(cfg)
+        assert list(report.per_trial) == rows
+        assert report.result["degenerate_trials"] == []
+        if mode == "rate_avg":
+            assert report.result["dominance_violations"] == violations
 
 
 class TestEmitReport:

@@ -15,8 +15,8 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=N
 
 
 @st.composite
-def channels(draw):
-    """A channel ``(h, P)`` with n in 2..300 and SNR in 0..40 dB.
+def gains(draw):
+    """A channel vector ``h`` with n in 2..300.
 
     The gains keep 10 fractional bits, so every square and every sum of
     squares is exact and ``||h||^2`` cannot depend on the entries' order.
@@ -25,6 +25,13 @@ def channels(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     h = np.round(np.random.default_rng(seed).standard_normal(n) * 1024.0) / 1024.0
     assume(h.any())
+    return h
+
+
+@st.composite
+def channels(draw):
+    """A channel ``(h, P)`` from :func:`gains` with SNR in 0..40 dB."""
+    h = draw(gains())
     snr_db = draw(st.floats(0.0, 40.0))
     return h, 10.0 ** (snr_db / 10.0)
 
@@ -69,3 +76,13 @@ def test_list_head_attains_optimum(chan, L):
     ch = ChannelInstance(h=h, P=P)
     _, head_rate = list_solve(ch, L)[0]
     assert head_rate == pytest.approx(solve(ch).rate, rel=1e-9)
+
+
+@PROPERTY
+@given(gains(), st.floats(0.0, 59.0).flatmap(lambda low: st.tuples(st.just(low), st.floats(low + 1.0, 60.0))))
+def test_optimal_rate_grows_with_power(h, snr_pair):
+    # for every fixed a the rate's P/(1 + P||h||^2) term increases with P, so
+    # the optimum cannot fall; the SNRs are at least 1 dB apart, so the exact
+    # gain outweighs the rounding of the rate formula
+    low, high = (solve(ChannelInstance(h=h, P=10.0 ** (db / 10.0))).rate for db in snr_pair)
+    assert high >= low * (1.0 - 1e-12)

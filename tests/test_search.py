@@ -386,7 +386,7 @@ class TestOpeningScan:
             walks = []
             for cutover in (1, sc.n + 1):
                 monkeypatch.setattr(search, "_VECTOR_SCAN_MIN_N", cutover)
-                walks.append([_constrained_walk(sc, shrink) for shrink in (True, False)])
+                walks.append([_constrained_walk(sc.t, sc.f, sc.q, shrink) for shrink in (True, False)])
             assert walks[0] == walks[1]
             j, _ = search._opening_scan(sc.t, sc.f, sc.q)
             ends += j == sc.n
