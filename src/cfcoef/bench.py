@@ -5,9 +5,10 @@ the pair ``(seed, j)``, so results do not depend on execution order or on
 the degree of parallelism; aggregation is a deterministic reduction over
 trial index.
 
-Trials run in chunks.  A chunk stacks its channels into one ``(m, n)``
-array, validates it once and, outside ``list`` mode, builds all its
-scaled channels as 2-D arrays with one call of the builder behind
+Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries.  A
+chunk stacks its channels into one ``(m, n)`` array and, outside ``list``
+mode, validates them and builds all its scaled channels as 2-D arrays
+with one call of the builder behind
 :meth:`~cfcoef.core.ScaledChannel.from_channel`; only the search runs per
 trial.  Each row is the same float the single-channel calls give, so the
 ``result`` bytes and per-trial rows do not depend on the chunk size.
@@ -37,18 +38,14 @@ from .core import (
     ChannelInstance,
     NumericDegeneracyError,
     _channel_rows,
-    _check_channels,
-    _check_scaled,
-    _check_signed_permutations,
     _e1_optimal,
-    _invert,
     _is_integer,
     _quadratic_form,
     _rate,
     _scale_rows,
 )
 from .listsearch import list_solve
-from .search import _search_step, _visited_nodes
+from .search import _solve_row, _visited_nodes
 
 __all__ = [
     "MODES",
@@ -66,6 +63,11 @@ MODES = ("solve", "list", "e1_freq", "node_ratio", "rate_avg")
 _STATISTICAL_MODES = ("list", "e1_freq", "node_ratio", "rate_avg")
 
 _RATE_SLACK = 1e-9
+
+# Most channel entries (rows times n) one chunk of trials holds.  Building a
+# chunk keeps about fifteen arrays of that size alive at once, so this bounds
+# a chunk's working set to a few MB at any n and trial count.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def _snr_power(snr_db: float) -> float:
@@ -177,23 +179,20 @@ def _dominance_violations(ch: ChannelInstance, best_rate: float) -> int:
 def _run_chunk(args) -> list:
     """Trials ``lo..hi-1`` of a run as ``(trial, value, error or None)`` rows.
 
-    Every trial draws its channel from its own ``(seed, trial)`` stream.  The
-    chunk stacks the channels into one ``(m, n)`` array and validates it
-    once; outside list mode it also builds every scaled channel with one
-    2-D ``_build`` and checks the rows once.  The search, and the whole of
+    Every trial draws its channel from its own ``(seed, trial)`` stream, and
+    the chunk stacks the channels into one ``(m, n)`` array.  Outside list
+    mode it validates the channels and builds and validates every scaled
+    channel with one call for the whole chunk.  The search, and the whole of
     ``list_solve``, runs per trial.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = np.stack([sample_channel(n, trial_rng(seed, j)) for j in range(lo, hi)])
-    _check_channels(h)
     if mode == "list":
         def value(i):
             entries = list_solve(ChannelInstance(h=h[i], P=P), list_size)
             return len(entries), entries[0][1] if entries else 0.0
     else:
         t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
-        _check_scaled(t, f, q)
-        _check_signed_permutations(order, sign)
         if mode == "e1_freq":
             hits = _e1_optimal(t, f).tolist()
 
@@ -211,9 +210,9 @@ def _run_chunk(args) -> list:
                 denominators = _dominance_denominators(h, P, hnorm2, t_raw)
 
             def value(i):
-                a, _, nodes, shortcut = _search_step(t[i], f[i], q[i], True)
-                a = _invert(order[i], sign[i], a)
-                rate = _rate(_quadratic_form(h[i], P, hnorm2_list[i], a.astype(np.float64)))
+                _, rate, _, nodes, shortcut = _solve_row(
+                    h[i], P, hnorm2_list[i], t[i], order[i], sign[i], f[i], q[i], True
+                )
                 if mode == "rate_avg":
                     return rate, _count_beating(denominators[i], rate)
                 return rate, nodes, int(shortcut)
@@ -273,7 +272,8 @@ def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:
     """Run the configured mode over all trials and aggregate.
 
-    The trials run in chunks of ``max(1, trials // (parallel * 8))``;
+    The trials run in chunks of ``max(1, trials // (parallel * 8))`` trials,
+    capped at ``_CHUNK_ENTRIES // n`` so that a chunk's arrays stay small;
     ``parallel`` > 1 distributes the chunks over ``min(parallel, trials)``
     worker processes.  Because each trial reseeds from ``(seed, trial)``,
     every per-trial value is computed from that trial's channel alone, and
@@ -288,7 +288,7 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     if not _is_integer(parallel) or parallel < 1:
         raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
     start = time.perf_counter()
-    size = max(1, cfg.trials // (parallel * 8))
+    size = max(1, min(cfg.trials // (parallel * 8), _CHUNK_ENTRIES // cfg.n))
     chunks = [
         (cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, lo, min(lo + size, cfg.trials))
         for lo in range(0, cfg.trials, size)

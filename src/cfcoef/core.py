@@ -54,12 +54,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_vector(x, name: str, finite: bool = True) -> np.ndarray:
+def _as_vector(x, name: str) -> np.ndarray:
+    """``x`` as a nonempty 1-D float vector; its values are checked by the caller."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D real vector")
-    if finite and not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must contain only finite values")
     return v
 
 
@@ -67,10 +66,14 @@ def _as_vector(x, name: str, finite: bool = True) -> np.ndarray:
 # its one vector and ``run_trials`` checks a whole chunk of trials in one call.
 
 
+def _check_finite(v: np.ndarray, name: str) -> None:
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must contain only finite values")
+
+
 def _check_channels(h: np.ndarray) -> None:
     """``ValueError`` unless every channel ``h[..., :]`` is finite and nonzero."""
-    if not np.isfinite(h).all():
-        raise ValueError("h must contain only finite values")
+    _check_finite(h, "h")
     if not h.any(axis=-1).all():
         raise ValueError("zero channel vector is trivial and rejected")
 
@@ -91,8 +94,7 @@ def _check_scaled(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> None:
     Each test is written so that a nan fails it, and the bounds on ``f``
     and ``q`` exclude infinities, so only ``t`` needs a finiteness test.
     """
-    if not np.isfinite(t).all():
-        raise ValueError("t must contain only finite values")
+    _check_finite(t, "t")
     if not ((t[..., -1] >= 0.0).all() and (t[..., :-1] >= t[..., 1:]).all()):
         raise ValueError("t must be sorted nonincreasing and nonnegative")
     if not ((f[..., 0] == 1.0).all() and (f[..., -1] > 0.0).all() and (f[..., :-1] >= f[..., 1:]).all()):
@@ -109,7 +111,7 @@ class ChannelInstance:
     P: float
 
     def __post_init__(self):
-        h = _as_vector(self.h, "h", finite=False)
+        h = _as_vector(self.h, "h")
         _check_channels(h)
         P = float(self.P)
         if not math.isfinite(P) or P <= 0.0:
@@ -194,10 +196,10 @@ class ScaledChannel:
     q: np.ndarray
 
     def __post_init__(self):
-        t = _as_vector(self.t, "t", finite=False)
+        t = _as_vector(self.t, "t")
         n = t.size
-        f = _as_vector(self.f, "f", finite=False)
-        q = _as_vector(self.q, "q", finite=False)
+        f = _as_vector(self.f, "f")
+        q = _as_vector(self.q, "q")
         if self.perm.n != n or f.size != n + 1 or q.size != n:
             raise ValueError("inconsistent array lengths")
         _check_scaled(t, f, q)
@@ -218,7 +220,7 @@ class ScaledChannel:
         every entry strictly positive even at SNR values where the direct
         subtraction ``1 - sum(t**2)`` would cancel to zero.
         """
-        return _first_row(*_channel_rows(ch.h[None], ch.P)[2:])
+        return _first_row(*_scaled_rows(ch.h[None], ch.P)[2:])
 
 
 def _first_row(t, order, sign, f, q) -> ScaledChannel:
@@ -269,7 +271,7 @@ def _scale_rows(h: np.ndarray, P: float) -> tuple:
     return h * np.sqrt(P / (1.0 + P * hnorm2))[:, None], hnorm2
 
 
-def _channel_rows(h: np.ndarray, P: float) -> tuple:
+def _scaled_rows(h: np.ndarray, P: float) -> tuple:
     """:meth:`ScaledChannel.from_channel` for each channel row of ``h``, unvalidated.
 
     Returns ``(t_raw, hnorm2, t, order, sign, f, q)``: :func:`_scale_rows`,
@@ -277,6 +279,20 @@ def _channel_rows(h: np.ndarray, P: float) -> tuple:
     """
     t_raw, hnorm2 = _scale_rows(h, P)
     return (t_raw, hnorm2) + _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
+
+
+def _channel_rows(h: np.ndarray, P: float) -> tuple:
+    """:func:`_scaled_rows` of a chunk of channels, validated once.
+
+    Runs, on every row at once, the checks that :class:`ChannelInstance`,
+    :class:`SignedPermutation` and :class:`ScaledChannel` run on one.
+    """
+    _check_channels(h)
+    rows = _scaled_rows(h, P)
+    _, _, t, order, sign, f, q = rows
+    _check_scaled(t, f, q)
+    _check_signed_permutations(order, sign)
+    return rows
 
 
 def scale_channel(ch: ChannelInstance) -> np.ndarray:
@@ -297,6 +313,7 @@ def canonicalize(t_raw) -> ScaledChannel:
     :func:`restore`.
     """
     t_raw = _as_vector(t_raw, "t_raw")
+    _check_finite(t_raw, "t_raw")
     if np.any(np.abs(t_raw) >= 1.0):
         raise ValueError("every entry of t_raw must satisfy |t_i| < 1")
     return _first_row(*_build(t_raw[None], t_raw[None], lambda suffix: (1.0 - suffix[:, :1]) + suffix))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import _as_vector
+from .core import _as_vector, _check_finite
 from .listsearch import Candidate, CandidateList, _require_count
 from .search import SearchResult
 
@@ -46,6 +46,7 @@ class OracleInfeasibleError(ValueError):
 
 def _check_t(t) -> tuple:
     t = _as_vector(t, "t")
+    _check_finite(t, "t")
     norm2 = float(np.dot(t, t))
     if np.any(np.abs(t) >= 1.0) or norm2 >= 1.0:
         raise ValueError("t must satisfy ||t|| < 1 with every |t_i| < 1")

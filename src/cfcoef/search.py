@@ -30,8 +30,9 @@ from .core import (
     ChannelInstance,
     ScaledChannel,
     _e1_optimal,
-    computation_rate,
-    restore,
+    _invert,
+    _quadratic_form,
+    _rate,
 )
 
 __all__ = [
@@ -289,16 +290,22 @@ def _coefficients(best, n: int) -> np.ndarray:
     return np.array(best, dtype=np.int64)
 
 
-def _search_step(t: np.ndarray, f: np.ndarray, q: np.ndarray, use_shortcut: bool) -> tuple:
-    """:func:`solve`'s search on one canonical row: the shortcut, else the walk.
+def _solve_row(h, P, hnorm2, t, order, sign, f, q, use_shortcut: bool) -> tuple:
+    """:func:`solve` on one channel row ``h`` with ``hnorm2 = np.dot(h, h)``
+    and its canonical row ``t, order, sign, f, q``: the shortcut, else the
+    walk, then the map back and the rate.
 
-    Returns ``(a, objective, nodes_visited, used_shortcut)`` with ``a`` in
-    canonical coordinates.
+    Returns ``(a, rate, objective, nodes_visited, used_shortcut)`` with ``a``
+    in original coordinates; ``rate`` is the float :func:`computation_rate`
+    gives for ``a``.
     """
     if use_shortcut and _e1_optimal(t, f):
-        return _coefficients(None, t.size), float(q[0]), 0, True
-    best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
-    return _coefficients(best, t.size), float(incumbents[-1]), nodes, False
+        a, objective, nodes, shortcut = _coefficients(None, t.size), float(q[0]), 0, True
+    else:
+        best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
+        a, objective, shortcut = _coefficients(best, t.size), float(incumbents[-1]), False
+    a = _invert(order, sign, a)
+    return a, _rate(_quadratic_form(h, P, hnorm2, a.astype(np.float64))), objective, nodes, shortcut
 
 
 def count_tree_nodes(sc: ScaledChannel) -> int:
@@ -422,9 +429,9 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
     the search, e.g. when node counts must reflect the full tree.
     """
     sc = ScaledChannel.from_channel(ch)
-    a_canonical, objective, nodes, shortcut = _search_step(sc.t, sc.f, sc.q, use_shortcut)
-    a = restore(sc.perm, a_canonical)
-    rate = computation_rate(ch, a)
+    a, rate, objective, nodes, shortcut = _solve_row(
+        ch.h, ch.P, float(np.dot(ch.h, ch.h)), sc.t, sc.perm.perm, sc.perm.sign, sc.f, sc.q, use_shortcut
+    )
     return SolveResult(
         a=a,
         rate=rate,

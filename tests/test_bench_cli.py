@@ -132,16 +132,16 @@ class TestRunTrials:
         assert report.per_trial[0]["trial"] == 0
 
     def test_degenerate_trials_are_recorded(self, monkeypatch):
-        # the failure is injected into the search step each trial runs
-        real = bench._search_step
-        trial_3 = ScaledChannel.from_channel(ChannelInstance(h=sample_channel(4, trial_rng(7, 3)), P=1.0))
+        # the failure is injected into the solve step each trial runs
+        real = bench._solve_row
+        trial_3 = sample_channel(4, trial_rng(7, 3))
 
-        def flaky(t, f, q, use_shortcut):
-            if np.array_equal(t, trial_3.t):
+        def flaky(h, *rest):
+            if np.array_equal(h, trial_3):
                 raise NumericDegeneracyError("synthetic failure")
-            return real(t, f, q, use_shortcut)
+            return real(h, *rest)
 
-        monkeypatch.setattr(bench, "_search_step", flaky)
+        monkeypatch.setattr(bench, "_solve_row", flaky)
         cfg = TrialConfig(mode="rate_avg", n=4, snr_db=0.0, trials=10, seed=7)
         report = run_trials(cfg)
         assert report.result["degenerate_trials"] == [3]
@@ -270,6 +270,26 @@ class TestChunkedTrials:
         assert report.result["degenerate_trials"] == []
         if mode == "rate_avg":
             assert report.result["dominance_violations"] == violations
+
+
+    @pytest.mark.parametrize("entries, rows", [(40, 5), (4, 1)])
+    @pytest.mark.parametrize("mode", ["e1_freq", "rate_avg", "list"])
+    def test_chunk_entries_are_capped(self, monkeypatch, mode, entries, rows):
+        # 61 trials would run in chunks of 61 // 8 = 7 rows; a cap of
+        # `entries` channel entries at n = 7 allows `rows`, and at least one
+        cfg = TrialConfig(mode=mode, n=7, snr_db=10.0, trials=61, seed=4,
+                          list_size=3 if mode == "list" else None)
+        real, sizes = bench._run_chunk, []
+
+        def recording(args):
+            sizes.append(args[-1] - args[-2])
+            return real(args)
+
+        monkeypatch.setattr(bench, "_run_chunk", recording)
+        monkeypatch.setattr(bench, "_CHUNK_ENTRIES", entries)
+        report = run_trials(cfg, keep_per_trial=True)
+        assert max(sizes) == rows and sum(sizes) == cfg.trials
+        assert list(report.per_trial) == _public_rows(cfg)[0]
 
 
 class TestEmitReport:

@@ -409,6 +409,24 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             ScaledChannel(t=good.t, perm=good.perm, f=good.f, q=[0.75, 1.5])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, index", [
+        ("t", 0), ("t", 2), ("f", 0), ("f", 1), ("f", 3), ("q", 0), ("q", 1), ("q", 2),
+    ])
+    def test_scaled_channel_rejects_nonfinite_entries(self, field, index, value):
+        # only t has a finiteness test; the bounds on f and q reject the rest
+        good = canonicalize([0.5, 0.4, 0.3])
+        fields = {"t": good.t.copy(), "f": good.f.copy(), "q": good.q.copy()}
+        fields[field][index] = value
+        match = "t must contain only finite values" if field == "t" else None
+        with pytest.raises(ValueError, match=match):
+            ScaledChannel(perm=good.perm, **fields)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_canonicalize_rejects_nonfinite_entries(self, value):
+        with pytest.raises(ValueError, match="t_raw must contain only finite values"):
+            canonicalize([0.5, value])
+
     def test_single_coordinate_factor(self):
         R = cholesky_factor(canonicalize([0.6]))
         np.testing.assert_allclose(R, [[0.8]], rtol=1e-12)
