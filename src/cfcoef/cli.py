@@ -96,6 +96,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     """Search-versus-oracle equivalence sweep over random channels."""
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
     checked = 0
     refused = 0
     mismatches = []

@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfcoef.bench as bench
 from cfcoef import (
@@ -148,15 +150,16 @@ class TestRunTrials:
 
     @staticmethod
     def _replace_trial(monkeypatch, cfg, trial, h):
-        """Make ``bench.sample_channel`` return ``h`` for one trial of ``cfg``."""
-        real = bench.sample_channel
-        marker = real(cfg.n, trial_rng(cfg.seed, trial))
+        """Make ``bench._draw_rows`` draw ``h`` for one trial of ``cfg``."""
+        real = bench._draw_rows
 
-        def draw(n, rng):
-            drawn = real(n, rng)
-            return np.array(h, dtype=np.float64) if np.array_equal(drawn, marker) else drawn
+        def draw(seed, lo, hi, n):
+            rows = real(seed, lo, hi, n)
+            if lo <= trial < hi:
+                rows[trial - lo] = h
+            return rows
 
-        monkeypatch.setattr(bench, "sample_channel", draw)
+        monkeypatch.setattr(bench, "_draw_rows", draw)
 
     def test_degenerate_dominance_candidate_is_recorded(self, monkeypatch):
         # at 0 dB, h = [91329529, 0] solves to [1, 0] with a positive
@@ -292,6 +295,50 @@ class TestChunkedTrials:
         assert list(report.per_trial) == _public_rows(cfg)[0]
 
 
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+# chunks at the start, in the middle, and across the two-word trial index 2**32
+_SPANS = [(0, 4), (13, 29), (2**32 - 3, 2**32 + 3)]
+
+
+def _public_draws(seed, lo, hi, n):
+    return np.stack([sample_channel(n, trial_rng(seed, j)) for j in range(lo, hi)])
+
+
+def _public_seed_words(seed, lo, hi):
+    return np.stack([np.random.SeedSequence([seed, j]).generate_state(4, np.uint64)
+                     for j in range(lo, hi)])
+
+
+class TestChunkDrawer:
+    """A chunk seeds all its trials in one vectorized pass; its draws must
+    be bit for bit those of the public ``trial_rng`` streams."""
+
+    @pytest.mark.parametrize("n", [1, 8, 1000])
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_rows_match_trial_rng(self, seed, n):
+        for lo, hi in _SPANS:
+            rows = bench._draw_rows(seed, lo, hi, n)
+            assert rows.shape == (hi - lo, n) and rows.dtype == np.float64
+            np.testing.assert_array_equal(rows.view(np.uint64),
+                                          _public_draws(seed, lo, hi, n).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", _EDGE_SEEDS)
+    def test_seed_words_match_seed_sequence(self, seed):
+        for lo, hi in _SPANS:
+            words = bench._seed_words(seed, lo, hi)
+            assert words.dtype == np.uint64
+            np.testing.assert_array_equal(words, _public_seed_words(seed, lo, hi))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**33 - 1), st.integers(1, 5))
+    def test_any_seed_and_trial(self, seed, lo, m):
+        np.testing.assert_array_equal(bench._seed_words(seed, lo, lo + m),
+                                      _public_seed_words(seed, lo, lo + m))
+        np.testing.assert_array_equal(bench._draw_rows(seed, lo, lo + m, 3).view(np.uint64),
+                                      _public_draws(seed, lo, lo + m, 3).view(np.uint64))
+
+
 class TestEmitReport:
     def make_report(self, **kw):
         cfg = TrialConfig(mode=kw.pop("mode", "e1_freq"), n=2, snr_db=0.0,
@@ -424,6 +471,14 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["mismatches"] == []
         assert record["checked"] + record["refused"] == 25
+
+    @pytest.mark.parametrize("n, trials", [("3", "0"), ("3", "-4"), ("0", "5"), ("0", "0")])
+    def test_oracle_check_rejects_an_empty_sweep(self, n, trials, capsys):
+        argv = ["oracle-check", "--n", n, "--snr-db", "10", "--trials", trials]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--h", "1 2"],
