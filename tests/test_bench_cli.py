@@ -275,6 +275,18 @@ class TestChunkedTrials:
             assert report.result["dominance_violations"] == violations
 
 
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_pinned_list_result(self, parallel):
+        # frozen before list mode shared the chunk builder of the other
+        # modes; the chunk's rows now share their steps with list_solve, so
+        # test_rows_match_public_calls alone would not see a change in both
+        cfg = TrialConfig(mode="list", n=6, snr_db=20.0, trials=64, seed=5, list_size=4)
+        report = run_trials(cfg, parallel=parallel)
+        assert json.dumps(report.result, sort_keys=True) == (
+            '{"degenerate_trials": [], "list_len_avg": 4.0, "short_lists": 0, '
+            '"top_rate_avg": 1.1468810402170517}'
+        )
+
     @pytest.mark.parametrize("entries, rows", [(40, 5), (4, 1)])
     @pytest.mark.parametrize("mode", ["e1_freq", "rate_avg", "list"])
     def test_chunk_entries_are_capped(self, monkeypatch, mode, entries, rows):

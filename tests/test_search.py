@@ -459,6 +459,68 @@ class TestNodeCounters:
         assert count_visited_nodes(sc) == 3
 
 
+# Frozen solve outputs on trial_rng(11, n) channels: (n, snr_db, use_shortcut,
+# nonzero entries of a as {index: value}, rate and objective as float.hex,
+# nodes_visited, used_shortcut), recorded before solve, list_solve and the
+# Monte-Carlo chunks shared one row pipeline, so a change in how solve builds
+# its rows or maps its answer back shows here independently of the harness.
+PINNED_SOLVE = [
+    (1, 0, True, {0: 1}, "0x1.8031a2095c1e2p-2", "0x1.305b6c8f40973p-1", 0, True),
+    (1, 0, False, {0: 1}, "0x1.8031a2095c1e2p-2", "0x1.305b6c8f40973p-1", 1, False),
+    (1, 20, True, {0: 1}, "0x1.873e7b345563ep+1", "0x1.d95da051b991fp-7", 0, True),
+    (1, 20, False, {0: 1}, "0x1.873e7b345563ep+1", "0x1.d95da051b991fp-7", 1, False),
+    (1, 40, True, {0: 1}, "0x1.978f778a6e507p+2", "0x1.3359816ea8a6ap-13", 0, True),
+    (1, 40, False, {0: 1}, "0x1.978f778a6e507p+2", "0x1.3359816ea8a6ap-13", 1, False),
+    (2, 0, True, {1: 1}, "0x1.ea34d4a8ae00fp-5", "0x1.d73da68472532p-1", 0, True),
+    (2, 0, False, {1: 1}, "0x1.ea34d4a8ae00fp-5", "0x1.d73da68472532p-1", 2, False),
+    (2, 20, True, {0: -1, 1: 1}, "0x1.96d5a28d1d296p+0", "0x1.c472768045df6p-4", 5, False),
+    (2, 20, False, {0: -1, 1: 1}, "0x1.96d5a28d1d296p+0", "0x1.c472768045df6p-4", 5, False),
+    (2, 40, True, {0: -1, 1: 1}, "0x1.043be124f1d41p+2", "0x1.d32220345889ap-9", 5, False),
+    (2, 40, False, {0: -1, 1: 1}, "0x1.043be124f1d41p+2", "0x1.d32220345889ap-9", 5, False),
+    (3, 0, True, {1: 1}, "0x1.d5df2c7fd1bc0p-3", "0x1.7482ec76ad253p-1", 0, True),
+    (3, 0, False, {1: 1}, "0x1.d5df2c7fd1bc0p-3", "0x1.7482ec76ad253p-1", 3, False),
+    (3, 20, True, {0: 1, 1: 2}, "0x1.b054939b21b4cp+0", "0x1.8a19ab4a767f9p-4", 6, False),
+    (3, 20, False, {0: 1, 1: 2}, "0x1.b054939b21b4cp+0", "0x1.8a19ab4a767f9p-4", 6, False),
+    (3, 40, True, {0: 1, 1: 2}, "0x1.fdb23684a2988p+1", "0x1.0677cf02a9a04p-8", 6, False),
+    (3, 40, False, {0: 1, 1: 2}, "0x1.fdb23684a2988p+1", "0x1.0677cf02a9a04p-8", 6, False),
+    (8, 0, True, {3: -1}, "0x1.2a792ba3809a0p-3", "0x1.a2564c57e716ep-1", 16, False),
+    (8, 0, False, {3: -1}, "0x1.2a792ba3809a0p-3", "0x1.a2564c57e716ep-1", 16, False),
+    (8, 20, True, {0: 3, 1: -2, 2: 3, 3: -3, 4: -1, 5: -2, 6: 2, 7: -1},
+     "0x1.5e7d83d528d21p-1", "0x1.8c6c519133006p-2", 55, False),
+    (8, 20, False, {0: 3, 1: -2, 2: 3, 3: -3, 4: -1, 5: -2, 6: 2, 7: -1},
+     "0x1.5e7d83d528d21p-1", "0x1.8c6c519133006p-2", 55, False),
+    (8, 40, True, {0: 3, 1: -2, 2: 3, 3: -3, 4: -1, 5: -2, 6: 2, 7: -1},
+     "0x1.ea999a2828f3bp-1", "0x1.0f45818b16993p-2", 190, False),
+    (8, 40, False, {0: 3, 1: -2, 2: 3, 3: -3, 4: -1, 5: -2, 6: 2, 7: -1},
+     "0x1.ea999a2828f3bp-1", "0x1.0f45818b16993p-2", 190, False),
+    (64, 0, True, {11: 1}, "0x1.40c192fc20133p-4", "0x1.cb53f502721a6p-1", 0, True),
+    (64, 0, False, {11: 1}, "0x1.40c192fc20133p-4", "0x1.cb53f502721a6p-1", 64, False),
+    (64, 20, True, {11: 1}, "0x1.4601552777a6fp-4", "0x1.ca833df10d6e0p-1", 124, False),
+    (64, 20, False, {11: 1}, "0x1.4601552777a6fp-4", "0x1.ca833df10d6e0p-1", 124, False),
+    (64, 40, True, {11: 1}, "0x1.460efe19bad51p-4", "0x1.ca811f46c994cp-1", 544, False),
+    (64, 40, False, {11: 1}, "0x1.460efe19bad51p-4", "0x1.ca811f46c994cp-1", 544, False),
+    (1000, 0, True, {815: -1}, "0x1.d38e2c37540d5p-8", "0x1.faf60cff43666p-1", 1422, False),
+    (1000, 0, False, {815: -1}, "0x1.d38e2c37540d5p-8", "0x1.faf60cff43666p-1", 1422, False),
+    (1000, 20, True, {815: -1}, "0x1.d40374ac4485ep-8", "0x1.faf4cb05748edp-1", 1600, False),
+    (1000, 20, False, {815: -1}, "0x1.d40374ac4485ep-8", "0x1.faf4cb05748edp-1", 1600, False),
+    (1000, 40, True, {815: -1}, "0x1.d404a136f2227p-8", "0x1.faf4c7cc62b15p-1", 1614, False),
+    (1000, 40, False, {815: -1}, "0x1.d404a136f2227p-8", "0x1.faf4c7cc62b15p-1", 1614, False),
+]
+
+
+class TestPinnedSolve:
+    @pytest.mark.parametrize("n, snr_db, use_shortcut, nonzero, rate, objective, nodes, shortcut",
+                             PINNED_SOLVE)
+    def test_solve(self, n, snr_db, use_shortcut, nonzero, rate, objective, nodes, shortcut):
+        ch = ChannelInstance(h=sample_channel(n, trial_rng(11, n)), P=10.0 ** (snr_db / 10.0))
+        out = solve(ch, use_shortcut=use_shortcut)
+        a = np.zeros(n, dtype=np.int64)
+        a[list(nonzero)] = list(nonzero.values())
+        assert out.a.dtype == np.int64 and out.a.tolist() == a.tolist()
+        assert (out.rate.hex(), out.objective.hex()) == (rate, objective)
+        assert (out.nodes_visited, out.used_shortcut) == (nodes, shortcut)
+
+
 class TestSolve:
     def test_worked_example(self):
         out = solve(ChannelInstance(h=[1.0, 0.0], P=3.0))
