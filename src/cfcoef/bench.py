@@ -9,11 +9,11 @@ Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries.  A
 chunk derives every trial's PCG64 state from ``SeedSequence([seed, j])``
 in one vectorized pass and draws its channels into one ``(m, n)`` array,
 bit for bit the draws of :func:`trial_rng`, which remains the one-trial
-reference.  Outside ``list`` mode the chunk validates its channels and
-builds all its scaled channels as 2-D arrays with one call of the builder
-behind :meth:`~cfcoef.core.ScaledChannel.from_channel`; only the search
-runs per trial.  Each row is the same float the single-channel calls give,
-so the ``result`` bytes and per-trial rows do not depend on the chunk size.
+reference.  In every mode the chunk validates its channels and builds all
+its canonical rows as 2-D arrays with one call of the builder that ``solve``
+and ``list_solve`` use; only the search and the map back run per trial.
+Each row is the same float the single-channel calls give, so the ``result``
+bytes and per-trial rows do not depend on the chunk size.
 Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
@@ -46,7 +46,7 @@ from .core import (
     _rate,
     _scale_rows,
 )
-from .listsearch import list_solve
+from .listsearch import _list_row
 from .search import _solve_row, _visited_nodes
 
 __all__ = [
@@ -267,42 +267,43 @@ def _run_chunk(args) -> list:
     """Trials ``lo..hi-1`` of a run as ``(trial, value, error or None)`` rows.
 
     Every trial draws its channel from its own ``(seed, trial)`` stream into
-    one ``(m, n)`` array (see :func:`_draw_rows`).  Outside list
-    mode it validates the channels and builds and validates every scaled
-    channel with one call for the whole chunk.  The search, and the whole of
-    ``list_solve``, runs per trial.
+    one ``(m, n)`` array (see :func:`_draw_rows`).  In every mode one call
+    validates the channels and builds and validates every canonical row for
+    the whole chunk; the search and the map back run per trial, through the
+    row steps that ``solve`` and ``list_solve`` use.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
-    if mode == "list":
+    t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
+    hnorm2_list = hnorm2.tolist()
+
+    def row(i):
+        return h[i], P, hnorm2_list[i], t[i], order[i], sign[i], f[i], q[i]
+
+    if mode == "e1_freq":
+        hits = _e1_optimal(t, f).tolist()
+
         def value(i):
-            entries = list_solve(ChannelInstance(h=h[i], P=P), list_size)
+            return (int(hits[i]),)
+    elif mode == "node_ratio":
+        norms = [n * math.sqrt(1.0 + P * x) for x in hnorm2_list]
+
+        def value(i):
+            nodes = _visited_nodes(t[i], f[i], q[i])
+            return nodes, nodes / norms[i]
+    elif mode == "list":
+        def value(i):
+            entries = _list_row(*row(i), list_size)
             return len(entries), entries[0][1] if entries else 0.0
     else:
-        t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
-        if mode == "e1_freq":
-            hits = _e1_optimal(t, f).tolist()
+        if mode == "rate_avg":
+            denominators = _dominance_denominators(h, P, hnorm2, t_raw)
 
-            def value(i):
-                return (int(hits[i]),)
-        elif mode == "node_ratio":
-            norms = [n * math.sqrt(1.0 + P * x) for x in hnorm2.tolist()]
-
-            def value(i):
-                nodes = _visited_nodes(t[i], f[i], q[i])
-                return nodes, nodes / norms[i]
-        else:
-            hnorm2_list = hnorm2.tolist()
+        def value(i):
+            _, rate, _, nodes, shortcut = _solve_row(*row(i), True)
             if mode == "rate_avg":
-                denominators = _dominance_denominators(h, P, hnorm2, t_raw)
-
-            def value(i):
-                _, rate, _, nodes, shortcut = _solve_row(
-                    h[i], P, hnorm2_list[i], t[i], order[i], sign[i], f[i], q[i], True
-                )
-                if mode == "rate_avg":
-                    return rate, _count_beating(denominators[i], rate)
-                return rate, nodes, int(shortcut)
+                return rate, _count_beating(denominators[i], rate)
+            return rate, nodes, int(shortcut)
     rows = []
     for i, j in enumerate(range(lo, hi)):
         try:

@@ -219,6 +219,11 @@ class ScaledChannel:
         ``f[i] = (1 + P * sum(h'[i:]**2)) / (1 + P * ||h||**2)``, which keeps
         every entry strictly positive even at SNR values where the direct
         subtraction ``1 - sum(t**2)`` would cancel to zero.
+
+        Raises
+        ------
+        ValueError
+            If ``P * ||h||**2`` is not finite.
         """
         return _first_row(*_scaled_rows(ch.h[None], ch.P)[2:])
 
@@ -265,10 +270,15 @@ def _scale_rows(h: np.ndarray, P: float) -> tuple:
     """:func:`scale_channel` for each channel row of ``h``: ``(t_raw, hnorm2)``.
 
     ``hnorm2`` holds each ``||h||^2`` as one ``np.dot`` per row, the float
-    :func:`computation_rate` uses.
+    :func:`computation_rate` uses.  ``ValueError`` if some ``P * ||h||^2``
+    overflows; no ``RuntimeWarning`` is emitted on the way.
     """
-    hnorm2 = np.array([np.dot(row, row) for row in h])
-    return h * np.sqrt(P / (1.0 + P * hnorm2))[:, None], hnorm2
+    with np.errstate(over="ignore"):
+        hnorm2 = np.array([np.dot(row, row) for row in h])
+        denom = 1.0 + P * hnorm2
+    if not np.isfinite(denom).all():
+        raise ValueError("P*||h||^2 is not finite; scale the channel or P down")
+    return h * np.sqrt(P / denom)[:, None], hnorm2
 
 
 def _scaled_rows(h: np.ndarray, P: float) -> tuple:
@@ -299,7 +309,7 @@ def scale_channel(ch: ChannelInstance) -> np.ndarray:
     """Rescale the channel so the quadratic form becomes ``||a||^2 - (t'a)^2``.
 
     Returns ``t_raw = sqrt(P / (1 + P ||h||^2)) * h``, which always satisfies
-    ``||t_raw|| < 1``.
+    ``||t_raw|| < 1``.  ``ValueError`` if ``P * ||h||^2`` is not finite.
     """
     return _scale_rows(ch.h[None], ch.P)[0][0]
 

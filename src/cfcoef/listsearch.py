@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelInstance, ScaledChannel, _is_integer, computation_rate, restore
-from .search import _round_nearest, _sgn
+from .core import ChannelInstance, ScaledChannel, _channel_rows, _is_integer
+from .search import _answer, _round_nearest, _sgn
 
 __all__ = ["Candidate", "CandidateList", "list_search", "list_solve"]
 
@@ -99,10 +99,20 @@ def list_search(sc: ScaledChannel, L: int) -> CandidateList:
     the radius drops to the new worst objective.
     """
     _require_count(L, "L")
-    n = sc.n
-    t = sc.t.tolist()
-    f = sc.f.tolist()
-    q = sc.q.tolist()
+    entries = tuple(
+        Candidate(a=np.array(a, dtype=np.int64), objective=float(objective))
+        for objective, a in _list_walk(sc.t, sc.f, sc.q, L)
+    )
+    return CandidateList(entries=entries, requested=L)
+
+
+def _list_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, L: int) -> list:
+    """:func:`list_search` on one canonical row ``t``, ``f``, ``q``, as a list
+    of ``(objective, a)`` pairs in its entries' order."""
+    n = t.size
+    t = t.tolist()
+    f = f.tolist()
+    q = q.tolist()
 
     p = [0.0] * (n + 1)
     d = [0.0] * n
@@ -147,12 +157,15 @@ def list_search(sc: ScaledChannel, L: int) -> CandidateList:
         else:
             break
 
-    order = sorted(range(len(objs)), key=lambda i: (objs[i], vecs[i]))
-    entries = tuple(
-        Candidate(a=np.array(vecs[i], dtype=np.int64), objective=float(objs[i]))
-        for i in order
-    )
-    return CandidateList(entries=entries, requested=L)
+    # no two entries are equal, so the pairs sort by objective, then vector
+    return sorted(zip(objs, vecs))
+
+
+def _list_row(h, P, hnorm2, t, order, sign, f, q, L: int) -> list:
+    """:func:`list_solve` on one channel row; the row arguments are those of
+    :func:`~cfcoef.search._solve_row`."""
+    return [_answer(h, P, hnorm2, order, sign, np.array(a, dtype=np.int64))
+            for _, a in _list_walk(t, f, q, L)]
 
 
 def list_solve(ch: ChannelInstance, L: int):
@@ -160,12 +173,15 @@ def list_solve(ch: ChannelInstance, L: int):
 
     Returns a list of ``(a, rate)`` pairs in original coordinates with
     nonincreasing rates; may be shorter than ``L`` when fewer vectors have
-    positive rate.
+    positive rate.  The rows are built as :func:`~cfcoef.search.solve`
+    builds them, and each rate is the ``computation_rate`` float of its ``a``.
+
+    Raises
+    ------
+    ValueError
+        If ``L`` is not an integer of at least 1 (before any search), or if
+        ``P * ||h||**2`` is not finite.
     """
-    sc = ScaledChannel.from_channel(ch)
-    found = list_search(sc, L)
-    out = []
-    for cand in found.entries:
-        a = restore(sc.perm, cand.a)
-        out.append((a, computation_rate(ch, a)))
-    return out
+    _require_count(L, "L")
+    _, hnorm2, t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)
+    return _list_row(ch.h, ch.P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0], L)

@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     ChannelInstance,
     ScaledChannel,
+    _channel_rows,
     _e1_optimal,
     _invert,
     _quadratic_form,
@@ -293,19 +294,24 @@ def _coefficients(best, n: int) -> np.ndarray:
 def _solve_row(h, P, hnorm2, t, order, sign, f, q, use_shortcut: bool) -> tuple:
     """:func:`solve` on one channel row ``h`` with ``hnorm2 = np.dot(h, h)``
     and its canonical row ``t, order, sign, f, q``: the shortcut, else the
-    walk, then the map back and the rate.
+    walk, then :func:`_answer`.
 
-    Returns ``(a, rate, objective, nodes_visited, used_shortcut)`` with ``a``
-    in original coordinates; ``rate`` is the float :func:`computation_rate`
-    gives for ``a``.
+    Returns ``(a, rate, objective, nodes_visited, used_shortcut)``.
     """
     if use_shortcut and _e1_optimal(t, f):
         a, objective, nodes, shortcut = _coefficients(None, t.size), float(q[0]), 0, True
     else:
         best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
         a, objective, shortcut = _coefficients(best, t.size), float(incumbents[-1]), False
+    return (*_answer(h, P, hnorm2, order, sign, a), objective, nodes, shortcut)
+
+
+def _answer(h, P, hnorm2, order, sign, a) -> tuple:
+    """Canonical vector ``a`` of channel row ``h`` as ``(a, rate)``: ``a``
+    mapped back through ``order`` and ``sign`` to original coordinates, and
+    the float :func:`~cfcoef.core.computation_rate` gives for it."""
     a = _invert(order, sign, a)
-    return a, _rate(_quadratic_form(h, P, hnorm2, a.astype(np.float64))), objective, nodes, shortcut
+    return a, _rate(_quadratic_form(h, P, hnorm2, a.astype(np.float64)))
 
 
 def count_tree_nodes(sc: ScaledChannel) -> int:
@@ -424,13 +430,20 @@ def baseline_search(R) -> SearchResult:
 def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
     """Full pipeline: scale, canonicalize, search, map back, compute the rate.
 
+    The rows are built as :func:`~cfcoef.bench.run_trials` builds a chunk's,
+    and ``rate`` is the :func:`~cfcoef.core.computation_rate` float of ``a``.
     When ``use_shortcut`` is true (the default) the O(n) unit-vector test
     short-circuits the enumeration whenever it applies; pass False to force
     the search, e.g. when node counts must reflect the full tree.
+
+    Raises
+    ------
+    ValueError
+        If ``P * ||h||**2`` is not finite.
     """
-    sc = ScaledChannel.from_channel(ch)
+    _, hnorm2, t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)
     a, rate, objective, nodes, shortcut = _solve_row(
-        ch.h, ch.P, float(np.dot(ch.h, ch.h)), sc.t, sc.perm.perm, sc.perm.sign, sc.f, sc.q, use_shortcut
+        ch.h, ch.P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0], use_shortcut
     )
     return SolveResult(
         a=a,

@@ -503,6 +503,11 @@ class TestCli:
         assert main(argv + [f"--snr-db={snr_db}"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["solve"], ["list", "--l", "2"]])
+    def test_overflowing_channel_is_an_error(self, argv, capsys):
+        assert main(argv + ["--h", "1e200 1e200", "--snr-db", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: P*||h||^2 is not finite")
+
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_unusable_parallel_is_an_error(self, parallel, capsys):
         argv = ["bench", "--mode", "e1_freq", "--n", "2", "--snr-db", "0", "--trials", "3"]

@@ -76,6 +76,22 @@ class TestScaleChannel:
             t = scale_channel(make_channel(rng, n, P))
             assert float(t @ t) < 1.0
 
+    @pytest.mark.parametrize("h, P", [
+        ([1e200], 1.0), ([1e200, 1e200], 1.0), ([1e154, 1e154], 1.0), ([1e150, 2.0], 1e30),
+    ])
+    def test_overflowing_channel_is_a_clear_error(self, h, P):
+        # pytest turns a RuntimeWarning into an error, so none may be emitted
+        ch = ChannelInstance(h=h, P=P)
+        for build in (ScaledChannel.from_channel, scale_channel):
+            with pytest.raises(ValueError, match=r"P\*\|\|h\|\|\^2 is not finite"):
+                build(ch)
+
+    def test_tiny_channel_still_builds(self):
+        # ||h||^2 underflows to 0: t is h * sqrt(P) and f stays at 1
+        sc = ScaledChannel.from_channel(ChannelInstance(h=[1e-200, 3e-200], P=1e10))
+        assert sc.t.tolist() == [3e-200 * 1e5, 1e-200 * 1e5]
+        assert sc.f.tolist() == [1.0, 1.0, 1.0]
+
 
 class TestCanonicalize:
     def test_orders_by_magnitude_with_signs(self):

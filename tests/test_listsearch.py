@@ -20,6 +20,7 @@ from cfcoef import (
     topl_box_bound,
     trial_rng,
 )
+from cfcoef import listsearch
 from conftest import make_channel, same_up_to_sign
 
 
@@ -146,6 +147,15 @@ class TestListSolve:
                 obj = float(af @ af) - ch.P * float(ch.h @ af) ** 2 / (1.0 + ch.P * hnorm2)
                 assert obj == pytest.approx(canonical.objective, rel=1e-9)
                 assert rate == pytest.approx(computation_rate(ch, a), rel=1e-12)
+
+    @pytest.mark.parametrize("L", [0, -1, 2.7, True, "3"])
+    def test_rejects_unusable_count_before_searching(self, monkeypatch, L):
+        def no_build(*args):
+            raise AssertionError("list_solve built rows for an unusable L")
+
+        monkeypatch.setattr(listsearch, "_channel_rows", no_build)
+        with pytest.raises(ValueError, match="L must be an integer of at least 1"):
+            list_solve(ChannelInstance(h=[0.75, 0.65], P=1.0), L)
 
     def test_first_entry_matches_solve(self, rng):
         for _ in range(40):

@@ -17,6 +17,7 @@ from cfcoef import (
     count_tree_nodes,
     count_visited_nodes,
     e1_is_optimal,
+    list_solve,
     modified_search,
     objective_lower_bound,
     sample_channel,
@@ -579,6 +580,25 @@ class TestSolve:
         out = solve(ch, use_shortcut=False)
         assert out.nodes_visited >= 1
         assert out.rate >= 0.0
+
+
+    @pytest.mark.parametrize("h, P", [
+        ([1e200], 1.0), ([1e200, 1e200], 1.0), ([1e154, 1e154], 1.0), ([1e150, 2.0], 1e30),
+    ])
+    def test_overflowing_channel_is_a_clear_error(self, h, P):
+        ch = ChannelInstance(h=h, P=P)
+        for call in (solve, lambda ch: list_solve(ch, 3)):
+            with pytest.raises(ValueError, match=r"P\*\|\|h\|\|\^2 is not finite"):
+                call(ch)
+
+    def test_tiny_channel_still_solves(self):
+        # ||h||^2 underflows to 0, so every objective is 1 and every rate 0
+        ch = ChannelInstance(h=[1e-200, 3e-200], P=1e10)
+        for use_shortcut, nodes in ((True, 0), (False, 2)):
+            out = solve(ch, use_shortcut=use_shortcut)
+            assert out.a.tolist() == [0, 1]
+            assert (out.rate, out.objective, out.nodes_visited) == (0.0, 1.0, nodes)
+        assert list_solve(ch, 3) == []
 
 
 class TestRounding:
