@@ -9,9 +9,10 @@ Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries.  A
 chunk derives every trial's PCG64 state from ``SeedSequence([seed, j])``
 in one vectorized pass and draws its channels into one ``(m, n)`` array,
 bit for bit the draws of :func:`trial_rng`, which remains the one-trial
-reference.  In every mode the chunk validates its channels and builds all
-its canonical rows as 2-D arrays with one call of the builder that ``solve``
-and ``list_solve`` use; only the search and the map back run per trial.
+reference.  The chunk checks its channels itself, since they never pass
+through :class:`ChannelInstance`, then in every mode builds all its canonical
+rows as 2-D arrays with one call of the builder that ``solve`` and
+``list_solve`` use; only the search and the map back run per trial.
 Each row is the same float the single-channel calls give, so the ``result``
 bytes and per-trial rows do not depend on the chunk size.
 Supported modes:
@@ -40,6 +41,7 @@ from .core import (
     ChannelInstance,
     NumericDegeneracyError,
     _channel_rows,
+    _check_channels,
     _e1_optimal,
     _is_integer,
     _quadratic_form,
@@ -267,13 +269,14 @@ def _run_chunk(args) -> list:
     """Trials ``lo..hi-1`` of a run as ``(trial, value, error or None)`` rows.
 
     Every trial draws its channel from its own ``(seed, trial)`` stream into
-    one ``(m, n)`` array (see :func:`_draw_rows`).  In every mode one call
-    validates the channels and builds and validates every canonical row for
-    the whole chunk; the search and the map back run per trial, through the
-    row steps that ``solve`` and ``list_solve`` use.
+    one ``(m, n)`` array (see :func:`_draw_rows`).  The channels, which never
+    pass through :class:`ChannelInstance`, are checked here all at once; one
+    call then builds every canonical row, and the search and the map back run
+    per trial, through the row steps that ``solve`` and ``list_solve`` use.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
+    _check_channels(h)
     t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
     hnorm2_list = hnorm2.tolist()
 

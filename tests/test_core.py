@@ -410,6 +410,23 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             SignedPermutation(perm=[0, 1], sign=[1, 2])
 
+    @pytest.mark.parametrize("perm, sign, match", [
+        ([0.7, 1.2], [1.9, -1.5], "perm is not a permutation of 0..n-1"),
+        ([0.7, 1.2], [1, -1], "perm is not a permutation of 0..n-1"),
+        ([1, 0, 2.0000001], [1, 1, 1], "perm is not a permutation of 0..n-1"),
+        ([0, 1], [1.9, -1.5], "sign entries must be \\+1 or -1"),
+        ([0, 1], [1, 1.0000001], "sign entries must be \\+1 or -1"),
+    ])
+    def test_signed_permutation_rejects_fractional_entries(self, perm, sign, match):
+        # a fractional entry is rejected, not truncated to an integer
+        with pytest.raises(ValueError, match=match):
+            SignedPermutation(perm=perm, sign=sign)
+
+    def test_signed_permutation_keeps_integral_floats(self):
+        sp = SignedPermutation(perm=[1.0, 0.0], sign=[-1.0, 1.0])
+        assert sp.perm.dtype == np.intp and sp.sign.dtype == np.int64
+        assert sp.perm.tolist() == [1, 0] and sp.sign.tolist() == [-1, 1]
+
     def test_scaled_channel_requires_sorted_t(self):
         good = canonicalize([0.5, 0.4])
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfcoef import ChannelInstance, ScaledChannel, list_solve, solve
+from cfcoef.core import _channel_rows, _check_scaled, _check_signed_permutations
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -34,6 +35,46 @@ def channels(draw):
     h = draw(gains())
     snr_db = draw(st.floats(0.0, 40.0))
     return h, 10.0 ** (snr_db / 10.0)
+
+
+@st.composite
+def edge_chunks(draw):
+    """A chunk ``(H, P)`` of channel rows at the numeric edges, SNR -30..60 dB.
+
+    n is 1, in 2..127 or in 128..300.  Entry magnitudes run from 2^-200 to
+    2^100; about a fifth of the entries are zero, each row repeats some
+    magnitude with the opposite sign, and one row in three has a single
+    magnitude throughout.  Every row keeps a nonzero entry.
+    """
+    n = draw(st.one_of(st.just(1), st.integers(2, 127), st.integers(128, 300)))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = np.ldexp(rng.uniform(1.0, 2.0, (m, n)), rng.integers(-200, 100, (m, n)))
+    flat = rng.random(m) < 1 / 3
+    H[flat] = H[flat, :1]
+    H *= rng.choice((-1.0, 1.0), (m, n))
+    H[rng.random((m, n)) < 0.2] = 0.0
+    src, dst = rng.integers(0, n, (2, m))
+    H[np.arange(m), dst] = -H[np.arange(m), src]
+    H[~H.any(axis=1), 0] = 1.0
+    return H, 10.0 ** (draw(st.floats(-30.0, 60.0)) / 10.0)
+
+
+@PROPERTY
+@given(edge_chunks())
+def test_channel_rows_need_no_check(chunk):
+    # the rows _channel_rows builds need no check: each must satisfy the
+    # constructors' invariants and match the single-channel build
+    H, P = chunk
+    _, _, t, order, sign, f, q = _channel_rows(H, P)
+    for i, h in enumerate(H):
+        _check_scaled(t[i], f[i], q[i])
+        _check_signed_permutations(order[i], sign[i])
+        sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=P))
+        for name, rows in (("t", t), ("f", f), ("q", q)):
+            assert rows[i].tobytes() == getattr(sc, name).tobytes()
+        assert np.array_equal(order[i], sc.perm.perm)
+        assert np.array_equal(sign[i], sc.perm.sign)
 
 
 @PROPERTY
