@@ -9,12 +9,13 @@ Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries.  A
 chunk derives every trial's PCG64 state from ``SeedSequence([seed, j])``
 in one vectorized pass and draws its channels into one ``(m, n)`` array,
 bit for bit the draws of :func:`trial_rng`, which remains the one-trial
-reference.  The chunk checks its channels itself, since they never pass
-through :class:`ChannelInstance`, then in every mode builds all its canonical
-rows as 2-D arrays with one call of the builder that ``solve`` and
-``list_solve`` use; only the search and the map back run per trial.
-Each row is the same float the single-channel calls give, so the ``result``
-bytes and per-trial rows do not depend on the chunk size.
+reference.  The chunk checks its channels (they skip :class:`ChannelInstance`),
+builds all its canonical rows with the builder call ``solve`` and ``list_solve``
+make, and tests the first unit vector on all of them in one more call.  Only
+the search and the map back run per trial, and each trial's record is written
+once, under its ``per_trial`` names.  Each row is the same float the
+single-channel calls give, so the ``result`` bytes and per-trial rows do not
+depend on the chunk size.
 Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
@@ -266,98 +267,92 @@ def _dominance_violations(ch: ChannelInstance, best_rate: float) -> int:
 
 
 def _run_chunk(args) -> list:
-    """Trials ``lo..hi-1`` of a run as ``(trial, value, error or None)`` rows.
+    """Trials ``lo..hi-1`` of a run as ``(record, error or None)`` rows.
 
     Every trial draws its channel from its own ``(seed, trial)`` stream into
-    one ``(m, n)`` array (see :func:`_draw_rows`).  The channels, which never
-    pass through :class:`ChannelInstance`, are checked here all at once; one
-    call then builds every canonical row, and the search and the map back run
-    per trial, through the row steps that ``solve`` and ``list_solve`` use.
+    one ``(m, n)`` array (see :func:`_draw_rows`).  The chunk checks those
+    channels (they skip :class:`ChannelInstance`), builds every canonical row
+    and tests the first unit vector on each, one call apiece.  Per trial, the
+    row steps of ``solve`` and ``list_solve`` search, map back and fill its
+    ``per_trial`` record; ``rate_avg`` adds the dominance count as ``beating``.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
     _check_channels(h)
     t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
     hnorm2_list = hnorm2.tolist()
+    hits = _e1_optimal(t, f).tolist()
 
     def row(i):
         return h[i], P, hnorm2_list[i], t[i], order[i], sign[i], f[i], q[i]
 
     if mode == "e1_freq":
-        hits = _e1_optimal(t, f).tolist()
-
-        def value(i):
-            return (int(hits[i]),)
+        def fields(i):
+            return {"hit": int(hits[i])}
     elif mode == "node_ratio":
         norms = [n * math.sqrt(1.0 + P * x) for x in hnorm2_list]
 
-        def value(i):
+        def fields(i):
             nodes = _visited_nodes(t[i], f[i], q[i])
-            return nodes, nodes / norms[i]
+            return {"nodes": nodes, "ratio": nodes / norms[i]}
     elif mode == "list":
-        def value(i):
+        def fields(i):
             entries = _list_row(*row(i), list_size)
-            return len(entries), entries[0][1] if entries else 0.0
-    else:
-        if mode == "rate_avg":
-            denominators = _dominance_denominators(h, P, hnorm2, t_raw)
+            return {"length": len(entries), "top_rate": entries[0][1] if entries else 0.0}
+    elif mode == "rate_avg":
+        denominators = _dominance_denominators(h, P, hnorm2, t_raw)
 
-        def value(i):
-            _, rate, _, nodes, shortcut = _solve_row(*row(i), True)
-            if mode == "rate_avg":
-                return rate, _count_beating(denominators[i], rate)
-            return rate, nodes, int(shortcut)
+        def fields(i):
+            rate = _solve_row(*row(i), hits[i]).rate
+            return {"rate": rate, "beating": _count_beating(denominators[i], rate)}
+    else:
+        def fields(i):
+            res = _solve_row(*row(i), hits[i])
+            return {"rate": res.rate, "nodes": res.nodes_visited, "shortcut": int(res.used_shortcut)}
     rows = []
     for i, j in enumerate(range(lo, hi)):
         try:
-            rows.append((j, value(i), None))
+            rows.append(({"trial": j, **fields(i)}, None))
         except NumericDegeneracyError as exc:
-            rows.append((j, None, str(exc)))
+            rows.append(({"trial": j}, str(exc)))
     return rows
 
 
 def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
-    ok = [(j, v) for j, v, err in rows if err is None]
-    degenerate = [j for j, _, err in rows if err is not None]
-    m = len(ok)
+    """``(result, per_trial)`` of a run's rows; ``rate_avg`` pops each ``beating`` count."""
+    records = [record for record, err in rows if err is None]
+
+    def mean(name):
+        return math.fsum(record[name] for record in records) / len(records) if records else 0.0
+
+    degenerate = [record["trial"] for record, err in rows if err is not None]
     result: dict = {"degenerate_trials": degenerate}
-    per_trial = []
     if cfg.mode == "e1_freq":
-        hits = sum(v[0] for _, v in ok)
-        result.update(e1_fraction=hits / m if m else 0.0, hits=hits)
-        per_trial = [{"trial": j, "hit": v[0]} for j, v in ok]
+        result.update(e1_fraction=mean("hit"), hits=sum(record["hit"] for record in records))
     elif cfg.mode == "node_ratio":
-        ratios = [v[1] for _, v in ok]
         result.update(
-            node_ratio_avg=math.fsum(ratios) / m if m else 0.0,
-            node_ratio_max=max(ratios) if ratios else 0.0,
-            nodes_avg=math.fsum(v[0] for _, v in ok) / m if m else 0.0,
+            node_ratio_avg=mean("ratio"),
+            node_ratio_max=max((record["ratio"] for record in records), default=0.0),
+            nodes_avg=mean("nodes"),
         )
-        per_trial = [{"trial": j, "nodes": v[0], "ratio": v[1]} for j, v in ok]
     elif cfg.mode == "rate_avg":
         result.update(
-            rate_avg=math.fsum(v[0] for _, v in ok) / m if m else 0.0,
-            dominance_violations=sum(v[1] for _, v in ok),
+            rate_avg=mean("rate"),
+            dominance_violations=sum(record.pop("beating") for record in records),
         )
-        per_trial = [{"trial": j, "rate": v[0]} for j, v in ok]
     elif cfg.mode == "list":
         result.update(
-            list_len_avg=math.fsum(v[0] for _, v in ok) / m if m else 0.0,
-            top_rate_avg=math.fsum(v[1] for _, v in ok) / m if m else 0.0,
-            short_lists=sum(1 for _, v in ok if v[0] < cfg.list_size),
+            list_len_avg=mean("length"),
+            top_rate_avg=mean("top_rate"),
+            short_lists=sum(1 for record in records if record["length"] < cfg.list_size),
         )
-        per_trial = [{"trial": j, "length": v[0], "top_rate": v[1]} for j, v in ok]
     else:  # solve
         result.update(
-            rate_avg=math.fsum(v[0] for _, v in ok) / m if m else 0.0,
-            nodes_avg=math.fsum(v[1] for _, v in ok) / m if m else 0.0,
-            e1_fraction=sum(v[2] for _, v in ok) / m if m else 0.0,
+            rate_avg=mean("rate"),
+            nodes_avg=mean("nodes"),
+            e1_fraction=mean("shortcut"),
         )
-        per_trial = [
-            {"trial": j, "rate": v[0], "nodes": v[1], "shortcut": v[2]}
-            for j, v in ok
-        ]
-    return result, per_trial
+    return result, records
 
 
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:

@@ -130,7 +130,7 @@ def _cmd_oracle_check(args) -> int:
         "mismatches": mismatches,
     }
     _emit(json.dumps(record, sort_keys=True) + "\n", args.out)
-    return 1 if mismatches else 0
+    return 1 if mismatches or checked == 0 else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

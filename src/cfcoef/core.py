@@ -49,9 +49,17 @@ def _is_integer(x) -> bool:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only contiguous copy, so the caller's array stays its own."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
+
+
+def _holds_bool(x) -> bool:
+    """True if ``x`` is a boolean array or a sequence holding a boolean."""
+    if isinstance(x, np.ndarray):
+        return x.dtype == np.bool_
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).ravel())
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -143,6 +151,8 @@ class SignedPermutation:
         sign = np.asarray(self.sign, dtype=np.float64)
         if perm.ndim != 1 or sign.shape != perm.shape:
             raise ValueError("perm and sign must be 1-D arrays of equal length")
+        if _holds_bool(self.perm) or _holds_bool(self.sign):
+            raise ValueError("perm and sign entries must be integers, not booleans")
         _check_signed_permutations(perm, sign)
         object.__setattr__(self, "perm", _readonly(perm.astype(np.intp)))
         object.__setattr__(self, "sign", _readonly(sign.astype(np.int64)))
@@ -358,16 +368,19 @@ def computation_rate(ch: ChannelInstance, a) -> float:
     Raises
     ------
     ValueError
-        If ``a`` is the zero vector or has the wrong length.
+        If ``a`` has the wrong length, an entry that is not a finite
+        integer (integral floats are accepted), or is the zero vector.
     NumericDegeneracyError
         If the denominator evaluates to a nonpositive float.
     """
-    a = np.asarray(a)
-    if a.shape != ch.h.shape:
+    af = np.asarray(a, dtype=np.float64)
+    if af.shape != ch.h.shape:
         raise ValueError(f"a must have length {ch.n}")
-    if not np.any(a):
+    if not (np.isfinite(af) & (af == np.rint(af))).all():
+        raise ValueError("a must have finite integer entries")
+    if not af.any():
         raise ValueError("the zero coefficient vector has no rate")
-    return _rate(_quadratic_form(ch.h, ch.P, float(np.dot(ch.h, ch.h)), a.astype(np.float64)))
+    return _rate(_quadratic_form(ch.h, ch.P, float(np.dot(ch.h, ch.h)), af))
 
 
 def _quadratic_form(h: np.ndarray, P: float, hnorm2: float, af: np.ndarray) -> float:

@@ -291,19 +291,18 @@ def _coefficients(best, n: int) -> np.ndarray:
     return np.array(best, dtype=np.int64)
 
 
-def _solve_row(h, P, hnorm2, t, order, sign, f, q, use_shortcut: bool) -> tuple:
+def _solve_row(h, P, hnorm2, t, order, sign, f, q, shortcut: bool) -> SolveResult:
     """:func:`solve` on one channel row ``h`` with ``hnorm2 = np.dot(h, h)``
-    and its canonical row ``t, order, sign, f, q``: the shortcut, else the
-    walk, then :func:`_answer`.
-
-    Returns ``(a, rate, objective, nodes_visited, used_shortcut)``.
+    and its canonical row ``t, order, sign, f, q``: the first unit vector if
+    ``shortcut`` (the caller's unit-vector test passed and may be used),
+    else the walk, then :func:`_answer`.
     """
-    if use_shortcut and _e1_optimal(t, f):
-        a, objective, nodes, shortcut = _coefficients(None, t.size), float(q[0]), 0, True
+    if shortcut:
+        a, objective, nodes = _coefficients(None, t.size), float(q[0]), 0
     else:
         best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
-        a, objective, shortcut = _coefficients(best, t.size), float(incumbents[-1]), False
-    return (*_answer(h, P, hnorm2, order, sign, a), objective, nodes, shortcut)
+        a, objective = _coefficients(best, t.size), float(incumbents[-1])
+    return SolveResult(*_answer(h, P, hnorm2, order, sign, a), objective, nodes, bool(shortcut))
 
 
 def _answer(h, P, hnorm2, order, sign, a) -> tuple:
@@ -432,9 +431,9 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
 
     The rows are built as :func:`~cfcoef.bench.run_trials` builds a chunk's,
     and ``rate`` is the :func:`~cfcoef.core.computation_rate` float of ``a``.
-    When ``use_shortcut`` is true (the default) the O(n) unit-vector test
-    short-circuits the enumeration whenever it applies; pass False to force
-    the search, e.g. when node counts must reflect the full tree.
+    When ``use_shortcut`` is true (the default) the O(n) unit-vector test,
+    run on this row as ``run_trials`` runs it once per chunk, skips the search
+    when it holds; pass False to force the search, e.g. for full-tree counts.
 
     Raises
     ------
@@ -442,13 +441,5 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
         If ``P * ||h||**2`` is not finite.
     """
     _, hnorm2, t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)
-    a, rate, objective, nodes, shortcut = _solve_row(
-        ch.h, ch.P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0], use_shortcut
-    )
-    return SolveResult(
-        a=a,
-        rate=rate,
-        objective=objective,
-        nodes_visited=nodes,
-        used_shortcut=shortcut,
-    )
+    return _solve_row(ch.h, ch.P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0],
+                      use_shortcut and _e1_optimal(t[0], f[0]))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +484,33 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["mismatches"] == []
         assert record["checked"] + record["refused"] == 25
+
+    def test_oracle_check_fails_when_nothing_was_checked(self, capsys):
+        # at n=6, 30 dB the brute-force oracle refuses every instance
+        argv = ["oracle-check", "--n", "6", "--snr-db", "30", "--trials", "20", "--seed", "7"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert (record["checked"], record["refused"], record["mismatches"]) == (0, 20, [])
+
+    def test_oracle_check_reports_a_mismatch(self, monkeypatch, capsys):
+        # the search's answer on the fifth instance, trial 4, is made worse
+        import cfcoef.cli as cli
+
+        real, calls = cli.modified_search, []
+
+        def worse(sc):
+            calls.append(sc)
+            found = real(sc)
+            return replace(found, objective=found.objective + 0.25) if len(calls) == 5 else found
+
+        monkeypatch.setattr(cli, "modified_search", worse)
+        argv = ["oracle-check", "--n", "3", "--snr-db", "10", "--trials", "6", "--seed", "2"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert (record["checked"], record["refused"]) == (6, 0)
+        [mismatch] = record["mismatches"]
+        assert mismatch["trial"] == 4
+        assert mismatch["search"] == pytest.approx(mismatch["oracle"] + 0.25, rel=1e-12)
 
     @pytest.mark.parametrize("n, trials", [("3", "0"), ("3", "-4"), ("0", "5"), ("0", "0")])
     def test_oracle_check_rejects_an_empty_sweep(self, n, trials, capsys):

@@ -57,6 +57,17 @@ class TestChannelInstance:
         ch = ChannelInstance(h=[1.0, 2.0], P=1.0)
         with pytest.raises(ValueError):
             ch.h[0] = 5.0
+        # the caller's own array stays writeable, and editing it leaves ch.h alone
+        h = np.array([0.8, -1.4, 0.3])
+        ch = ChannelInstance(h=h, P=10.0)
+        assert h.flags.writeable
+        h[0] = 5.0
+        assert ch.h.tolist() == [0.8, -1.4, 0.3]
+        good = canonicalize([0.5, 0.4])
+        t = good.t.copy()
+        sc = ScaledChannel(t=t, perm=good.perm, f=good.f, q=good.q)
+        t[0] = 0.45
+        assert t.flags.writeable and sc.t.tolist() == good.t.tolist()
 
 
 class TestScaleChannel:
@@ -328,6 +339,18 @@ class TestComputationRate:
         with pytest.raises(ValueError):
             computation_rate(self.ch, [0, 0])
 
+    @pytest.mark.parametrize("a", [
+        [math.nan, 1, 0], [math.inf, 0, 0], [0.5, 0.5, 0], [1, 2.0000001, 0],
+    ])
+    def test_non_integer_vector_rejected(self, a):
+        ch = ChannelInstance(h=[0.8, -1.4, 0.3], P=10.0)
+        with pytest.raises(ValueError, match="finite integer"):
+            computation_rate(ch, a)
+
+    def test_integral_floats_accepted(self):
+        ch = ChannelInstance(h=[0.8, -1.4, 0.3], P=10.0)
+        assert computation_rate(ch, [1.0, -2.0, 0.0]) == computation_rate(ch, [1, -2, 0])
+
     def test_degenerate_power_raises(self):
         ch = ChannelInstance(h=[1.0], P=1e300)
         with pytest.raises(NumericDegeneracyError):
@@ -420,6 +443,16 @@ class TestTypeValidation:
     def test_signed_permutation_rejects_fractional_entries(self, perm, sign, match):
         # a fractional entry is rejected, not truncated to an integer
         with pytest.raises(ValueError, match=match):
+            SignedPermutation(perm=perm, sign=sign)
+
+    @pytest.mark.parametrize("perm, sign", [
+        ([True, False], [True, True]),
+        ([1, 0], [1, True]),
+        (np.array([False, True]), [1, -1]),
+        ([0, 1], np.array([True, True])),
+    ])
+    def test_signed_permutation_rejects_booleans(self, perm, sign):
+        with pytest.raises(ValueError, match="not booleans"):
             SignedPermutation(perm=perm, sign=sign)
 
     def test_signed_permutation_keeps_integral_floats(self):

@@ -70,9 +70,14 @@ class TestListSearch:
             assert all(a <= b for a, b in zip(objs, objs[1:]))
 
     def test_no_sign_duplicates(self, rng):
+        channels = []
         for _ in range(60):
             n = int(rng.integers(2, 7))
-            sc = ScaledChannel.from_channel(make_channel(rng, n, float(rng.choice([1.0, 10.0]))))
+            channels.append(ScaledChannel.from_channel(make_channel(rng, n, float(rng.choice([1.0, 10.0])))))
+        # a level-0 center lands exactly on an integer here, so the walk
+        # meets both [1, 1, 1] and [-1, -1, -1] at one objective
+        channels.append(canonicalize([0.625, 0.6, 0.375]))
+        for sc in channels:
             found = list_search(sc, 10)
             keys = [canonical_sign(e.a) for e in found]
             assert len(keys) == len(set(keys))
