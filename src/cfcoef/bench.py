@@ -5,17 +5,20 @@ the pair ``(seed, j)``, so results do not depend on execution order or on
 the degree of parallelism; aggregation is a deterministic reduction over
 trial index.
 
-Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries.  A
-chunk derives every trial's PCG64 state from ``SeedSequence([seed, j])``
-in one vectorized pass and draws its channels into one ``(m, n)`` array,
-bit for bit the draws of :func:`trial_rng`, which remains the one-trial
-reference.  The chunk checks its channels (they skip :class:`ChannelInstance`),
-builds all its canonical rows with the builder call ``solve`` and ``list_solve``
-make, and tests the first unit vector on all of them in one more call.  Only
-the search and the map back run per trial, and each trial's record is written
-once, under its ``per_trial`` names.  Each row is the same float the
-single-channel calls give, so the ``result`` bytes and per-trial rows do not
-depend on the chunk size.
+Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries: a
+serial run is as few chunks as that cap allows, and a pooled run gives each
+worker about eight.  A chunk derives every trial's PCG64 state from
+``SeedSequence([seed, j])`` in one vectorized pass and draws its channels
+into one ``(m, n)`` array, bit for bit the draws of :func:`trial_rng`,
+which remains the one-trial reference.  The chunk checks its channels (they
+skip :class:`ChannelInstance`), builds all its canonical rows with the
+builder call ``solve`` and ``list_solve`` make, and tests the first unit
+vector on all of them in one more call; ``rate_avg`` evaluates every row's
+dominance candidates as arrays too.  Only the search and the map back run
+per trial, and each trial's record is written once, under its
+``per_trial`` names.  Each row is the same float the single-channel calls
+give, so the ``result`` bytes and per-trial rows do not depend on the
+chunk size.
 Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
@@ -35,6 +38,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .core import (
     _check_channels,
     _e1_optimal,
     _is_integer,
-    _quadratic_form,
+    _quadratic_forms,
     _rate,
     _scale_rows,
 )
@@ -68,6 +72,9 @@ MODES = ("solve", "list", "e1_freq", "node_ratio", "rate_avg")
 _STATISTICAL_MODES = ("list", "e1_freq", "node_ratio", "rate_avg")
 
 _RATE_SLACK = 1e-9
+
+# the multiples c of t_raw whose roundings are dominance candidates, as a column
+_MULTIPLES = np.arange(1.0, 5.0)[:, None]
 
 # Most channel entries (rows times n) one chunk of trials holds.  Building a
 # chunk keeps about fifteen arrays of that size alive at once, so this bounds
@@ -239,15 +246,15 @@ def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: 
     ``round(c * t_raw)`` for ``c`` in 1..4, in that order.  Each value is the
     float :func:`~cfcoef.core.computation_rate` evaluates: for ``e_i`` the
     inner product ``h . e_i`` is exactly ``h_i``, so one array expression
-    serves every row; the quantized candidates take one ``np.dot`` per row,
-    which sums in the same order as the single-channel call.
+    serves every row; the four quantized candidates of every row go through
+    :func:`~cfcoef.core._quadratic_forms` as one ``(m, 4, n)`` array, whose
+    dots sum in the same order as the single-channel call.
     """
     rows = (1.0 - P * h * h / (1.0 + P * hnorm2)[:, None]).tolist()
-    hnorm2 = hnorm2.tolist()
-    for c in range(1, 5):
-        cands = np.rint(c * t_raw).astype(np.int64)
-        for i in np.flatnonzero(cands.any(axis=1)).tolist():
-            rows[i].append(_quadratic_form(h[i], P, hnorm2[i], cands[i].astype(np.float64)))
+    cands = np.rint(_MULTIPLES * t_raw[:, None, :]).astype(np.int64)
+    forms = _quadratic_forms(h, P, hnorm2, cands.astype(np.float64))
+    for row, form, nonzero in zip(rows, forms.tolist(), cands.any(axis=2).tolist()):
+        row.extend(compress(form, nonzero))
     return rows
 
 
@@ -358,17 +365,18 @@ def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:
     """Run the configured mode over all trials and aggregate.
 
-    The trials run in chunks of ``max(1, trials // (parallel * 8))`` trials,
-    capped at ``_CHUNK_ENTRIES // n`` so that a chunk's arrays stay small;
-    ``parallel`` > 1 distributes the chunks over ``min(parallel, trials)``
-    worker processes.  Because each trial reseeds from ``(seed, trial)``,
+    A serial run is one chunk of all its trials, and ``parallel`` > 1 splits
+    the run into chunks of ``max(1, trials // (parallel * 8))`` trials and
+    distributes them over ``min(parallel, trials)`` worker processes.  Either
+    way a chunk is capped at ``_CHUNK_ENTRIES // n`` trials so that its
+    arrays stay small.  Because each trial reseeds from ``(seed, trial)``,
     every per-trial value is computed from that trial's channel alone, and
     the reduction is performed in trial order, the ``result`` field is
     identical at any parallelism and chunk size.
 
     The pool pays a fixed cost to start its workers, about 30 ms of wall
     time on a 2-core machine, so small runs finish sooner serially: 1,000
-    ``e1_freq`` trials at n=8 took a median of 12 ms serially and 42 ms on
+    ``e1_freq`` trials at n=8 took a median of 7 ms serially and 40 ms on
     two workers.
 
     Raises
@@ -379,7 +387,10 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     if not _is_integer(parallel) or parallel < 1:
         raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
     start = time.perf_counter()
-    size = max(1, min(cfg.trials // (parallel * 8), _CHUNK_ENTRIES // cfg.n))
+    # each chunk pays a fixed cost (seed hashing, the generator, the builder),
+    # so a serial run pays it as few times as the cap allows
+    size = cfg.trials if parallel == 1 else cfg.trials // (parallel * 8)
+    size = max(1, min(size, _CHUNK_ENTRIES // cfg.n))
     chunks = [
         (cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, lo, min(lo + size, cfg.trials))
         for lo in range(0, cfg.trials, size)

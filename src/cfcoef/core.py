@@ -277,15 +277,26 @@ def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
     return t, order, sign, f, q
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.dot`` of each row pair ``x[..., :]``, ``y[..., :]``, bit for bit.
+
+    One stacked ``1 x n @ n x 1`` matmul: numpy evaluates each such product
+    with the float64 dot kernel (BLAS ``ddot``) that ``np.dot`` runs on two
+    vectors, so the sums keep its order.  At ``n == 1`` a zero sum may come
+    out as ``0.0`` where ``np.dot`` gives ``-0.0``; no caller reads that sign.
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def _scale_rows(h: np.ndarray, P: float) -> tuple:
     """:func:`scale_channel` for each channel row of ``h``: ``(t_raw, hnorm2)``.
 
-    ``hnorm2`` holds each ``||h||^2`` as one ``np.dot`` per row, the float
+    ``hnorm2`` holds each ``||h||^2`` from :func:`_row_dots`, the float
     :func:`computation_rate` uses.  ``ValueError`` if some ``P * ||h||^2``
     overflows; no ``RuntimeWarning`` is emitted on the way.
     """
     with np.errstate(over="ignore"):
-        hnorm2 = np.array([np.dot(row, row) for row in h])
+        hnorm2 = _row_dots(h, h)
         denom = 1.0 + P * hnorm2
     if not np.isfinite(denom).all():
         raise ValueError("P*||h||^2 is not finite; scale the channel or P down")
@@ -371,7 +382,8 @@ def computation_rate(ch: ChannelInstance, a) -> float:
         If ``a`` has the wrong length, an entry that is not a finite
         integer (integral floats are accepted), or is the zero vector.
     NumericDegeneracyError
-        If the denominator evaluates to a nonpositive float.
+        If the denominator evaluates to a nonpositive float or to nan, as
+        it does when ``||a||^2`` and ``P (h'a)^2`` both overflow.
     """
     af = np.asarray(a, dtype=np.float64)
     if af.shape != ch.h.shape:
@@ -380,7 +392,11 @@ def computation_rate(ch: ChannelInstance, a) -> float:
         raise ValueError("a must have finite integer entries")
     if not af.any():
         raise ValueError("the zero coefficient vector has no rate")
-    return _rate(_quadratic_form(ch.h, ch.P, float(np.dot(ch.h, ch.h)), af))
+    # an overflow in the dots is silent, as it is in the Python floats
+    # around them; a nan form is then rejected by _rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = _quadratic_form(ch.h, ch.P, float(np.dot(ch.h, ch.h)), af)
+    return _rate(denom)
 
 
 def _quadratic_form(h: np.ndarray, P: float, hnorm2: float, af: np.ndarray) -> float:
@@ -389,9 +405,24 @@ def _quadratic_form(h: np.ndarray, P: float, hnorm2: float, af: np.ndarray) -> f
     return float(np.dot(af, af)) - P * inner * inner / (1.0 + P * hnorm2)
 
 
+def _quadratic_forms(h: np.ndarray, P: float, hnorm2: np.ndarray, af: np.ndarray) -> np.ndarray:
+    """:func:`_quadratic_form` of each candidate ``af[i, k]`` of row ``h[i]``, bit for bit.
+
+    ``af`` has shape ``(m, k, n)`` for the ``(m, n)`` rows ``h`` and their
+    ``(m,)`` squared norms ``hnorm2``.  The dots come from :func:`_row_dots`
+    and the form keeps the scalar parenthesisation; overflow stays as silent
+    as it is in Python floats.  For a single vector the scalar form is
+    cheaper.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _row_dots(h[:, None, :], af)
+        return _row_dots(af, af) - P * inner * inner / (1.0 + P * hnorm2)[:, None]
+
+
 def _rate(denom: float) -> float:
-    """:func:`computation_rate` of a vector whose quadratic form is ``denom``."""
-    if denom <= 0.0:
+    """:func:`computation_rate` of a vector whose quadratic form is ``denom``;
+    ``NumericDegeneracyError`` unless ``denom > 0`` (a nan fails too)."""
+    if not denom > 0.0:
         raise NumericDegeneracyError(
             f"quadratic form evaluated to {denom!r}; inputs are numerically degenerate"
         )

@@ -25,10 +25,12 @@ from cfcoef import (
     list_solve,
     run_trials,
     sample_channel,
+    scale_channel,
     solve,
     trial_rng,
 )
 from cfcoef.cli import main
+from cfcoef.core import _scale_rows
 
 
 class TestSampling:
@@ -200,18 +202,9 @@ class TestRunTrials:
         # a recorder stands in for the pool, so no worker process starts
         requested = []
 
-        class RecordingPool:
+        class RecordingPool(_InlinePool):
             def __init__(self, max_workers):
                 requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
         cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=3, seed=8)
@@ -219,6 +212,47 @@ class TestRunTrials:
         run_trials(TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=40, seed=8), parallel=2)
         assert requested == [3, 2]
         assert capped.result == run_trials(cfg, parallel=1).result
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``; runs the chunks in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def _dominance_candidates(ch):
+    """Every unit vector, then each nonzero ``round(c * t_raw)`` for c in 1..4."""
+    t_raw = scale_channel(ch)
+    quantized = [np.rint(c * t_raw).astype(np.int64) for c in range(1, 5)]
+    return list(np.eye(ch.n, dtype=np.int64)) + [a for a in quantized if a.any()]
+
+
+def _assert_same_rates(h, P):
+    """``_rate`` of each chunk denominator of the rows ``h`` is the
+    ``computation_rate`` of its candidate, or both raise the same error."""
+    t_raw, hnorm2 = _scale_rows(h, P)
+    for row, denominators in zip(h, bench._dominance_denominators(h, P, hnorm2, t_raw)):
+        ch = ChannelInstance(h=row, P=P)
+        candidates = _dominance_candidates(ch)
+        assert len(denominators) == len(candidates)
+        for denom, a in zip(denominators, candidates):
+            try:
+                rate = computation_rate(ch, a)
+            except NumericDegeneracyError as exc:
+                with pytest.raises(NumericDegeneracyError, match=re.escape(str(exc))):
+                    bench._rate(denom)
+            else:
+                assert bench._rate(denom) == rate
 
 
 def _public_rows(cfg):
@@ -264,7 +298,8 @@ class TestChunkedTrials:
         ("list", 3, 10.0, 23),
     ])
     def test_rows_match_public_calls(self, mode, n, snr_db, trials, parallel):
-        # trial counts are 1 or not multiples of max(1, trials // (parallel * 8));
+        # a serial run is one chunk; on two workers the chunks hold
+        # max(1, trials // 16) trials, so 37 and 45 end in a shorter chunk;
         # n >= 128 reaches the walk's numpy opening scan
         cfg = TrialConfig(mode=mode, n=n, snr_db=snr_db, trials=trials, seed=31 + n,
                           list_size=4 if mode == "list" else None)
@@ -291,7 +326,7 @@ class TestChunkedTrials:
     @pytest.mark.parametrize("entries, rows", [(40, 5), (4, 1)])
     @pytest.mark.parametrize("mode", ["e1_freq", "rate_avg", "list"])
     def test_chunk_entries_are_capped(self, monkeypatch, mode, entries, rows):
-        # 61 trials would run in chunks of 61 // 8 = 7 rows; a cap of
+        # a serial run of 61 trials would be one chunk of 61 rows; a cap of
         # `entries` channel entries at n = 7 allows `rows`, and at least one
         cfg = TrialConfig(mode=mode, n=7, snr_db=10.0, trials=61, seed=4,
                           list_size=3 if mode == "list" else None)
@@ -306,6 +341,56 @@ class TestChunkedTrials:
         report = run_trials(cfg, keep_per_trial=True)
         assert max(sizes) == rows and sum(sizes) == cfg.trials
         assert list(report.per_trial) == _public_rows(cfg)[0]
+
+
+    def test_chunk_sizes(self, monkeypatch):
+        # a serial run is one chunk, capped at _CHUNK_ENTRIES // n rows; the
+        # pool (run inline here) gets chunks of trials // (parallel * 8) rows
+        real, sizes = bench._run_chunk, []
+
+        def recording(args):
+            sizes.append(args[-1] - args[-2])
+            return real(args)
+
+        monkeypatch.setattr(bench, "_run_chunk", recording)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", _InlinePool)
+        cfg = TrialConfig(mode="e1_freq", n=7, snr_db=10.0, trials=61, seed=4)
+        reference = run_trials(cfg).result
+        assert sizes == [61]
+        sizes.clear()
+        assert run_trials(cfg, parallel=2).result == reference
+        assert sizes == [3] * 20 + [1]
+        sizes.clear()
+        monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 40)
+        assert run_trials(cfg).result == reference
+        assert sizes == [5] * 12 + [1]
+
+
+class TestDominanceDenominators:
+    """Each chunk denominator gives the rate ``computation_rate`` gives its
+    candidate.  ``test_rows_match_public_calls`` compares the chunk with
+    ``_dominance_violations``, which shares its code, so a float drift in
+    the batched forms would show only here."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 300])
+    @pytest.mark.parametrize("kind", ["gaussian", "integer", "tiny"])
+    def test_rates_match_computation_rate(self, kind, n):
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((3 if n == 300 else 12, n))
+        if kind == "integer":
+            h = np.rint(3.0 * h)
+            h[~h.any(axis=1), 0] = 1.0
+        elif kind == "tiny":
+            h *= 1e-100
+        for snr_db in (0.0, 10.0, 20.0, 40.0, 60.0):
+            _assert_same_rates(h, 10.0 ** (snr_db / 10.0))
+
+    def test_degenerate_candidate(self):
+        # the candidate [3, 0] of this channel cancels to 0.0 at 0 dB
+        h = np.array([[91329529.0, 0.0]])
+        with pytest.raises(NumericDegeneracyError):
+            computation_rate(ChannelInstance(h=h[0], P=1.0), [3, 0])
+        _assert_same_rates(h, 1.0)
 
 
 _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]

@@ -22,6 +22,7 @@ from cfcoef import (
     scale_channel,
     trial_rng,
 )
+from cfcoef.core import _row_dots
 from conftest import make_channel
 
 
@@ -356,6 +357,19 @@ class TestComputationRate:
         with pytest.raises(NumericDegeneracyError):
             computation_rate(ch, [1])
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_vector_is_degenerate(self):
+        # ||a||^2 and P (h'a)^2 both overflow, so the form is inf - inf = nan;
+        # it raises, with no RuntimeWarning from the dots on the way
+        ch = ChannelInstance(h=[0.8, -1.4, 0.3], P=10.0)
+        with pytest.raises(NumericDegeneracyError, match="nan"):
+            computation_rate(ch, [1e300, 0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_alone_rates_zero(self):
+        # h'a = 0, so only ||a||^2 overflows: the form is inf, the rate 0
+        assert computation_rate(self.ch, [0, 1e200]) == 0.0
+
     def test_rate_matches_objective(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 8))
@@ -371,6 +385,31 @@ class TestComputationRate:
                 assert rate == pytest.approx(-0.5 * math.log2(obj), rel=1e-9)
             elif obj >= 1.0:
                 assert rate == 0.0
+
+
+class TestRowDots:
+    """``core._row_dots`` is ``np.dot`` of each row pair, bit for bit: the
+    harness's ``||h||^2`` and dominance forms must stay the floats of the
+    single-channel calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 31, 32, 33, 100, 1000, 3000])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    def test_equals_np_dot(self, n, scale):
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((20, n)) * scale
+        # each channel row with itself, as _scale_rows pairs them
+        assert [x.hex() for x in _row_dots(h, h).tolist()] == [
+            float(np.dot(row, row)).hex() for row in h
+        ]
+        # each row against four integer candidates, and each candidate with
+        # itself, as the dominance pass pairs them; it drops zero candidates,
+        # the one place (at n = 1) where the sign of a zero sum differs
+        cands = rng.integers(-4, 5, size=(20, 4, n)).astype(np.float64)
+        inner, norms = _row_dots(h[:, None, :], cands), _row_dots(cands, cands)
+        for i, k in zip(*np.nonzero(cands.any(axis=2))):
+            a = cands[i, k]
+            assert float(inner[i, k]).hex() == float(np.dot(h[i], a)).hex()
+            assert float(norms[i, k]).hex() == float(np.dot(a, a)).hex()
 
 
 class TestUnitVectorShortcut:
