@@ -52,6 +52,7 @@ from .core import (
     _quadratic_forms,
     _rate,
     _scale_rows,
+    _unit_form,
 )
 from .listsearch import _list_row
 from .search import _solve_row, _visited_nodes
@@ -244,13 +245,13 @@ def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: 
 
     The candidates are every unit vector, then each nonzero quantized
     ``round(c * t_raw)`` for ``c`` in 1..4, in that order.  Each value is the
-    float :func:`~cfcoef.core.computation_rate` evaluates: for ``e_i`` the
-    inner product ``h . e_i`` is exactly ``h_i``, so one array expression
-    serves every row; the four quantized candidates of every row go through
+    float :func:`~cfcoef.core.computation_rate` evaluates: the unit vectors'
+    forms come from :func:`~cfcoef.core._unit_form` over every row at once;
+    the four quantized candidates of every row go through
     :func:`~cfcoef.core._quadratic_forms` as one ``(m, 4, n)`` array, whose
     dots sum in the same order as the single-channel call.
     """
-    rows = (1.0 - P * h * h / (1.0 + P * hnorm2)[:, None]).tolist()
+    rows = _unit_form(h, P, hnorm2[:, None]).tolist()
     cands = np.rint(_MULTIPLES * t_raw[:, None, :]).astype(np.int64)
     forms = _quadratic_forms(h, P, hnorm2, cands.astype(np.float64))
     for row, form, nonzero in zip(rows, forms.tolist(), cands.any(axis=2).tolist()):

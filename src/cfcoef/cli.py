@@ -12,7 +12,7 @@ import numpy as np
 from .bench import (
     MODES, TrialConfig, _snr_power, emit_report, run_trials, sample_channel, trial_rng,
 )
-from .core import ChannelInstance, ScaledChannel
+from .core import ChannelInstance, NumericDegeneracyError, ScaledChannel
 from .listsearch import list_solve
 from .oracle import OracleInfeasibleError, brute_force_svp
 from .search import modified_search, solve
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -250,18 +250,18 @@ def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
     Returns the rows ``(t, order, sign, f, q)``: ``order`` and ``sign`` are
     the :class:`SignedPermutation` fields.  ``tail_mass`` maps the tail sums
     of the reordered squares of ``x`` (``t_raw`` or ``h``) to a multiple of
-    ``f``.  Each row is bit-identical to building it alone: the stable sort's
-    output is unique, the gathers use one flat index, and ``cumsum`` adds
-    along a row in sequence.
+    ``f``.  Each row is bit-identical to building it alone.  Its order is the
+    stable sort's: a row with no two equal magnitudes has exactly one sorted
+    order, which numpy's faster default sort returns too, and a chunk with a
+    tie anywhere (zeros, ``+-0.0`` and opposite-sign copies included) is
+    sorted again with ``kind="stable"``.  The gathers use one flat index, and
+    ``cumsum`` adds along a row in sequence.
     """
     m, n = t_raw.shape
-    # Stable sort on magnitude, ties kept in original index order; entries
-    # equal to zero get sign +1.
-    order = np.argsort(-np.abs(t_raw), axis=1, kind="stable")
-    flat = order + np.arange(0, m * n, n)[:, None]
-    t_sorted = t_raw.take(flat)
-    sign = np.where(t_sorted < 0.0, -1, 1)
-    t = sign * t_sorted
+    key = -np.abs(t_raw)
+    order, flat, sign, t = _sort_rows(t_raw, key, None)
+    if np.count_nonzero(t[:, :-1] == t[:, 1:]):
+        order, flat, sign, t = _sort_rows(t_raw, key, "stable")
     suffix = np.zeros((m, n + 1))
     suffix[:, :-1] = np.cumsum(np.square(x.take(flat))[:, ::-1], axis=1)[:, ::-1]
     num = tail_mass(suffix)
@@ -275,6 +275,18 @@ def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
     f = num / num[:, :1]
     q = num[:, 1:] / num[:, :-1]
     return t, order, sign, f, q
+
+
+def _sort_rows(t_raw: np.ndarray, key: np.ndarray, kind) -> tuple:
+    """Each row of ``t_raw`` ordered by ``np.argsort(key, kind=kind)`` as
+    ``(order, flat, sign, t)``: the order, its flat gather index, and the
+    signs (+1 for a zero) that make the sorted row ``t`` nonnegative."""
+    m, n = t_raw.shape
+    order = np.argsort(key, axis=1, kind=kind)
+    flat = order + np.arange(0, m * n, n)[:, None]
+    t_sorted = t_raw.take(flat)
+    sign = np.where(t_sorted < 0.0, -1, 1)
+    return order, flat, sign, sign * t_sorted
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -310,7 +322,7 @@ def _channel_rows(h: np.ndarray, P: float) -> tuple:
     then :func:`_build`'s rows with ``f`` formed from the tail sums of ``h``.
     The rows need no check: ``h`` and ``P`` were already checked (by
     :class:`ChannelInstance`, or ``h`` by ``_check_channels`` in a trial
-    chunk), a stable argsort always returns a permutation, ``np.where`` only
+    chunk), either argsort kind returns a permutation, ``np.where`` only
     yields +1 or -1, and monotone rounding keeps ``f`` nonincreasing and every
     ``q`` in ``(0, 1]``.  ``tests/test_properties.py`` checks edge-case chunks.
     """
@@ -403,6 +415,14 @@ def _quadratic_form(h: np.ndarray, P: float, hnorm2: float, af: np.ndarray) -> f
     """``a' G a`` as :func:`computation_rate` evaluates it, for ``af = a`` as floats."""
     inner = float(np.dot(h, af))
     return float(np.dot(af, af)) - P * inner * inner / (1.0 + P * hnorm2)
+
+
+def _unit_form(hk, P: float, hnorm2):
+    """:func:`_quadratic_form` of a unit vector ``+-e_k`` of a channel with
+    ``hk = h[k]``: ``np.dot`` against it is exactly ``+-h[k]`` and its
+    ``||a||^2`` is 1.0, so this is the same float.  It works elementwise on
+    arrays of ``hk`` and ``hnorm2`` as well."""
+    return 1.0 - P * hk * hk / (1.0 + P * hnorm2)
 
 
 def _quadratic_forms(h: np.ndarray, P: float, hnorm2: np.ndarray, af: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     _invert,
     _quadratic_form,
     _rate,
+    _unit_form,
 )
 
 __all__ = [
@@ -79,21 +80,25 @@ def _opening_scan(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
 
     Returns ``(j, nodes)``: the first level where the descent or the
     ``a[j] = 2`` test passes at radius ``q[0]`` (``n`` if none does), and the
-    radius tests the walk makes before it tests ``a[j] = 1`` there.  Each
-    value is the float the per-level scan computes: ``r`` is
+    radius tests the walk makes before it tests ``a[j] = 1`` there.  Only the
+    live levels, those with ``q[j] < q[0]``, are evaluated: each of the two
+    tests' values is at least ``q[j]`` in floats too, so no other level can
+    pass, and each live level below ``j`` costs two tests more than a dead
+    one.  Each value is the float the per-level scan computes: ``r`` is
     :func:`_round_nearest` clipped at 1 (``ceil(d - 0.5)`` would differ from
     ``2**52`` on), and ``np.float_power`` rounds the square like Python's
-    ``** 2``, where ``np.power`` and ``d * d`` do not always.  Since both
-    tests' values are at least ``q[j]``, their minimum is below ``q[0]``
-    exactly when the scan's ``q[j] < q[0]`` test and one of them pass.
+    ``** 2``, where ``np.power`` and ``d * d`` do not always.
     """
     q0 = q[0]
-    d = t[:-1] * t[1:] / f[1:-1]
+    live = np.flatnonzero(q[1:] < q0) + 1
+    d = t[live - 1] * t[live] / f[live]
     r = _clipped_round(d)
-    lead = np.minimum(q[1:] + q[:-1] * np.float_power(r - d, 2), 4.0 * q[1:])
+    lead = np.minimum(q[live] + q[live - 1] * np.float_power(r - d, 2), 4.0 * q[live])
     hits = np.flatnonzero(lead < q0)
-    j = int(hits[0]) + 1 if hits.size else q.size
-    return j, j + 2 * int(np.count_nonzero(q[1:j] < q0))
+    if not hits.size:
+        return q.size, q.size + 2 * live.size
+    j = int(live[hits[0]])
+    return j, j + 2 * int(hits[0])
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,8 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     Opening scan: for ``n >= 2`` the first test, ``a[0] = 1`` against
     ``q[0]``, always fails, so the first look-ahead starts at level 1 with
     radius ``q[0]`` and nothing written.  From ``_VECTOR_SCAN_MIN_N`` levels
-    on, :func:`_opening_scan` evaluates it for all levels at once; a scan
+    on, :func:`_opening_scan` evaluates it in one pass over the levels
+    whose ``a[j] = 1`` test passes, the only ones that can hand over; a scan
     that passes level ``n-1`` ends the walk before any list is built, and
     otherwise the walk starts at the hand-over level with the node count
     the per-level scan would have reached.
@@ -295,14 +301,23 @@ def _solve_row(h, P, hnorm2, t, order, sign, f, q, shortcut: bool) -> SolveResul
     """:func:`solve` on one channel row ``h`` with ``hnorm2 = np.dot(h, h)``
     and its canonical row ``t, order, sign, f, q``: the first unit vector if
     ``shortcut`` (the caller's unit-vector test passed and may be used),
-    else the walk, then :func:`_answer`.
+    else the walk.  The answer is mapped back and rated by :func:`_answer`,
+    or in O(1) with the same floats where it is the first unit vector.
     """
     if shortcut:
-        a, objective, nodes = _coefficients(None, t.size), float(q[0]), 0
+        best, objective, nodes = None, float(q[0]), 0
     else:
         best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
-        a, objective = _coefficients(best, t.size), float(incumbents[-1])
-    return SolveResult(*_answer(h, P, hnorm2, order, sign, a), objective, nodes, bool(shortcut))
+        objective = float(incumbents[-1])
+    if best is None:
+        # the first unit vector maps back to sign[0] at order[0]; its rate
+        # needs no dot products (see core._unit_form)
+        a = np.zeros(t.size, dtype=np.int64)
+        a[order[0]] = sign[0]
+        rate = _rate(_unit_form(float(h[order[0]]), P, hnorm2))
+    else:
+        a, rate = _answer(h, P, hnorm2, order, sign, _coefficients(best, t.size))
+    return SolveResult(a, rate, objective, nodes, bool(shortcut))
 
 
 def _answer(h, P, hnorm2, order, sign, a) -> tuple:

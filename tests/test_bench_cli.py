@@ -621,6 +621,14 @@ class TestCli:
         assert main(argv + ["--h", "1e200 1e200", "--snr-db", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: P*||h||^2 is not finite")
 
+    @pytest.mark.parametrize("argv", [["solve"], ["list", "--l", "2"]])
+    def test_degenerate_channel_is_an_error(self, argv, capsys):
+        # at 600 dB the rate's quadratic form evaluates to 0.0
+        assert main(argv + ["--h", "1 1", "--snr-db", "600"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: quadratic form evaluated to 0.0")
+
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_unusable_parallel_is_an_error(self, parallel, capsys):
         argv = ["bench", "--mode", "e1_freq", "--n", "2", "--snr-db", "0", "--trials", "3"]

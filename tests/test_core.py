@@ -22,7 +22,7 @@ from cfcoef import (
     scale_channel,
     trial_rng,
 )
-from cfcoef.core import _row_dots
+from cfcoef.core import _channel_rows, _row_dots
 from conftest import make_channel
 
 
@@ -157,6 +157,35 @@ class TestCanonicalize:
         assert sc.f[-1] > 0.0
         with pytest.raises(ValueError):
             canonicalize(scale_channel(ch))
+
+
+def _tied_chunk(n, seed):
+    """Channel rows that mix Gaussian rows with integer-valued rows, zeros,
+    ``+-0.0`` and opposite-sign copies of equal magnitude."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((6, n))
+    H = np.concatenate([g[:2], np.round(3.0 * g[2:4]), g[4:]])
+    H[4, rng.random(n) < 0.3] = 0.0
+    H[4, rng.random(n) < 0.3] = -0.0
+    H[5, n // 2:] = -H[5, :n - n // 2]
+    H[~H.any(axis=1), 0] = 1.0
+    return H
+
+
+class TestSortFallback:
+    """The builder's default argsort with its stable redo on ties."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 300, 1000])
+    def test_order_is_the_stable_sort(self, n):
+        H = _tied_chunk(n, n)
+        chunks = [H, H[:2], H[2:4], H[4:]] + [H[i:i + 1] for i in range(len(H))]
+        for chunk in chunks:
+            t_raw, _, t, order, sign, _, _ = _channel_rows(chunk, 100.0)
+            for i, row in enumerate(t_raw):
+                expected = np.argsort(-np.abs(row), kind="stable")
+                assert order[i].tolist() == expected.tolist()
+                assert sign[i].tolist() == np.where(row[expected] < 0.0, -1, 1).tolist()
+                assert t[i].tobytes() == (sign[i] * row[expected]).tobytes()
 
 
 # Frozen construction bits: zlib.crc32 of the little-endian bytes of t, f

@@ -8,6 +8,7 @@ import pytest
 
 from cfcoef import (
     ChannelInstance,
+    NumericDegeneracyError,
     ScaledChannel,
     baseline_search,
     brute_force_svp,
@@ -26,7 +27,10 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef import search
-from cfcoef.search import _clipped_round, _constrained_walk, _round_nearest
+from cfcoef.core import _channel_rows, _invert
+from cfcoef.search import (
+    _answer, _clipped_round, _coefficients, _constrained_walk, _round_nearest, _solve_row,
+)
 from conftest import feasible_instance, make_channel, same_up_to_sign
 
 
@@ -599,6 +603,52 @@ class TestSolve:
             assert out.a.tolist() == [0, 1]
             assert (out.rate, out.objective, out.nodes_visited) == (0.0, 1.0, nodes)
         assert list_solve(ch, 3) == []
+
+
+def _rated(call):
+    """``call()``'s ``(a, rate)`` as bytes and hex, or its degeneracy message."""
+    try:
+        a, rate = call()
+    except NumericDegeneracyError as exc:
+        return str(exc)
+    return a.dtype.str, a.tobytes(), rate.hex()
+
+
+class TestUnitVectorAnswer:
+    """``_solve_row``'s O(1) answer for the first unit vector, against the
+    general map back (``_answer``) and ``computation_rate``."""
+
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0, 50.0, 100.0])
+    def test_matches_the_general_answer(self, snr_db):
+        rng = np.random.default_rng(int(snr_db) + 41)
+        P = 10.0 ** (snr_db / 10.0)
+        channels = []
+        for n, e in itertools.product((1, 2, 3, 8, 130), (-200, -100, -20, 0, 20, 60, 100)):
+            one = np.zeros(n)
+            one[rng.integers(n)] = rng.choice((-1.0, 1.0)) * 2.0**e
+            spread = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-200, 101, n))
+            channels += [rng.standard_normal(n) * 2.0**e, one, spread * rng.choice((-1.0, 1.0), n)]
+        signs, walked = set(), 0
+        for h in channels:
+            ch = ChannelInstance(h=h, P=P)
+            _, hnorm2, t, order, sign, f, q = _channel_rows(h[None], P)
+            row = (h, P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0])
+            e1 = _invert(order[0], sign[0], _coefficients(None, h.size))
+            expected = _rated(lambda: _answer(*row[:3], order[0], sign[0], _coefficients(None, h.size)))
+            assert expected == _rated(lambda: (e1, computation_rate(ch, e1)))
+            paths = [True]
+            # the walk only where it is short: one nonzero entry or a low P*||h||^2
+            if (np.count_nonzero(h) == 1 or P * hnorm2.item() < 1e6) and \
+                    _constrained_walk(t[0], f[0], q[0], True)[0] is None:
+                paths.append(False)
+                walked += 1
+            for shortcut in paths:
+                def solved():
+                    res = _solve_row(*row, shortcut)
+                    return res.a, res.rate
+                assert _rated(solved) == expected
+            signs.add(int(sign[0, 0]))
+        assert signs == {-1, 1} and walked >= 35
 
 
 class TestRounding:
