@@ -81,6 +81,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # emit_report would reject the pair too, but only after every trial ran
+    if args.per_trial and args.format != "json-lines":
+        raise ValueError("per-trial rows are only supported by json-lines")
     cfg = TrialConfig(
         mode=args.mode,
         n=args.n,

@@ -40,7 +40,9 @@ __all__ = [
 
 
 class NumericDegeneracyError(ArithmeticError):
-    """A quantity that is positive in exact arithmetic evaluated <= 0."""
+    """The inputs are beyond what the floats and int64 vectors can carry: a
+    quantity that is positive in exact arithmetic evaluated <= 0 (or nan), or
+    an optimal coefficient does not fit in int64."""
 
 
 def _is_integer(x) -> bool:
@@ -234,7 +236,9 @@ class ScaledChannel:
         Raises
         ------
         ValueError
-            If ``P * ||h||**2`` is not finite.
+            If ``P * ||h||**2`` is not finite, or if ``1 + P * sum(h'**2)``
+            overflows as the tail sums add it: a few ulps from the float
+            limit, their order can overflow where ``||h||**2``'s did not.
         """
         return _first_row(*_channel_rows(ch.h[None], ch.P)[2:])
 
@@ -300,6 +304,9 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
+_OVERFLOW = "P*||h||^2 is not finite; scale the channel or P down"
+
+
 def _scale_rows(h: np.ndarray, P: float) -> tuple:
     """:func:`scale_channel` for each channel row of ``h``: ``(t_raw, hnorm2)``.
 
@@ -311,7 +318,7 @@ def _scale_rows(h: np.ndarray, P: float) -> tuple:
         hnorm2 = _row_dots(h, h)
         denom = 1.0 + P * hnorm2
     if not np.isfinite(denom).all():
-        raise ValueError("P*||h||^2 is not finite; scale the channel or P down")
+        raise ValueError(_OVERFLOW)
     return h * np.sqrt(P / denom)[:, None], hnorm2
 
 
@@ -320,17 +327,22 @@ def _channel_rows(h: np.ndarray, P: float) -> tuple:
 
     Returns ``(t_raw, hnorm2, t, order, sign, f, q)``: :func:`_scale_rows`,
     then :func:`_build`'s rows with ``f`` formed from the tail sums of ``h``.
-    The rows need no check: ``h`` and ``P`` were already checked (by
-    :class:`ChannelInstance`, or ``h`` by ``_check_channels`` in a trial
-    chunk), either argsort kind returns a permutation, ``np.where`` only
-    yields +1 or -1, and monotone rounding keeps ``f`` nonincreasing and every
-    ``q`` in ``(0, 1]``.  ``tests/test_properties.py`` checks edge-case chunks.
+    ``h`` and ``P`` were already checked (by :class:`ChannelInstance`, or ``h``
+    by ``_check_channels`` in a trial chunk), so one test is left.  The tail
+    sums add in another order than ``||h||^2``, so near the float limit
+    ``1 + P * sum(h**2)`` can overflow where ``P * ||h||^2`` did not; that is
+    the same ``ValueError``, with no ``RuntimeWarning``.  The rest needs no
+    check: either argsort kind returns a permutation, ``np.where`` only yields
+    +1 or -1, and, with the total finite, monotone rounding keeps ``f``
+    positive and nonincreasing and every ``q`` in ``(0, 1]``.
+    ``tests/test_properties.py`` checks edge-case chunks.
     """
     t_raw, hnorm2 = _scale_rows(h, P)
-    t, order, sign, f, q = _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
-    # Redundant; kept until ROADMAP item 7, as without it the benchmark's 80 B of
-    # samples per operation read relay_small's faster solves as +9% peak memory.
-    _check_scaled(t, f, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, order, sign, f, q = _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
+    # f[:, -1] is 1 / (1 + P * tail total): positive exactly when that total is finite
+    if not (f[:, -1] > 0.0).all():
+        raise ValueError(_OVERFLOW)
     return t_raw, hnorm2, t, order, sign, f, q
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ChannelInstance, ScaledChannel, _channel_rows, _is_integer
-from .search import _answer, _round_nearest, _sgn
+from .search import _answer, _coefficients, _round_nearest, _sgn
 
 __all__ = ["Candidate", "CandidateList", "list_search", "list_solve"]
 
@@ -100,7 +100,7 @@ def list_search(sc: ScaledChannel, L: int) -> CandidateList:
     """
     _require_count(L, "L")
     entries = tuple(
-        Candidate(a=np.array(a, dtype=np.int64), objective=float(objective))
+        Candidate(a=_coefficients(a, sc.n), objective=float(objective))
         for objective, a in _list_walk(sc.t, sc.f, sc.q, L)
     )
     return CandidateList(entries=entries, requested=L)
@@ -164,7 +164,7 @@ def _list_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, L: int) -> list:
 def _list_row(h, P, hnorm2, t, order, sign, f, q, L: int) -> list:
     """:func:`list_solve` on one channel row; the row arguments are those of
     :func:`~cfcoef.search._solve_row`."""
-    return [_answer(h, P, hnorm2, order, sign, np.array(a, dtype=np.int64))
+    return [_answer(h, P, hnorm2, order, sign, _coefficients(a, t.size))
             for _, a in _list_walk(t, f, q, L)]
 
 
@@ -180,7 +180,11 @@ def list_solve(ch: ChannelInstance, L: int):
     ------
     ValueError
         If ``L`` is not an integer of at least 1 (before any search), or if
-        ``P * ||h||**2`` is not finite.
+        ``P * ||h||**2`` is not finite or the tail sums overflow (see
+        :meth:`~cfcoef.core.ScaledChannel.from_channel`).
+    NumericDegeneracyError
+        If a rate cannot be evaluated in floats, or an entry of a vector
+        does not fit in int64.
     """
     _require_count(L, "L")
     _, hnorm2, t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     ChannelInstance,
+    NumericDegeneracyError,
     ScaledChannel,
     _channel_rows,
     _e1_optimal,
@@ -49,10 +50,13 @@ __all__ = [
 
 
 # Smallest n whose opening look-ahead runs as one numpy pass.  Whole-walk
-# medians on Gaussian channels at 10-40 dB (BENCH_7.json, "cutover"): summed
-# over those SNRs the per-level scan is faster up to n = 96 and the numpy
-# pass from n = 128 (401 vs 419 us; it still loses 4% at 40 dB there), and
-# from n = 192 the numpy pass is never slower.
+# medians on Gaussian channels at 10-40 dB, summed over those SNRs, of the
+# scan that evaluates only the live levels (BENCH_15.json, "cutover", five
+# runs): the per-level scan is faster up to n = 112, n = 128 is a tie
+# (numpy/per-level 0.98-1.03, median 1.016) and stays the cut-over, and the
+# numpy pass is faster from n = 144 (0.90-0.98).  At 10-20 dB, where the scan mostly ends the walk,
+# the numpy pass wins in every run from n = 128; at 30-40 dB, where it hands
+# over early, it loses up to about n = 160.
 _VECTOR_SCAN_MIN_N = 128
 
 
@@ -289,12 +293,22 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
 
 
 def _coefficients(best, n: int) -> np.ndarray:
-    """The walk's ``best`` as an integer vector; None is the first unit vector."""
+    """A walk's ``best`` as an int64 vector; None is the first unit vector.
+
+    ``NumericDegeneracyError`` if an entry does not fit in int64, as on
+    channels whose entries span many orders of magnitude.
+    """
     if best is None:
         a = np.zeros(n, dtype=np.int64)
         a[0] = 1
         return a
-    return np.array(best, dtype=np.int64)
+    try:
+        return np.array(best, dtype=np.int64)
+    except OverflowError:
+        raise NumericDegeneracyError(
+            f"coefficient entry {max(best, key=abs)} does not fit in int64; "
+            "inputs are numerically degenerate"
+        ) from None
 
 
 def _solve_row(h, P, hnorm2, t, order, sign, f, q, shortcut: bool) -> SolveResult:
@@ -453,7 +467,11 @@ def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
     Raises
     ------
     ValueError
-        If ``P * ||h||**2`` is not finite.
+        If ``P * ||h||**2`` is not finite, or the tail sums overflow (see
+        :meth:`~cfcoef.core.ScaledChannel.from_channel`).
+    NumericDegeneracyError
+        If the rate of ``a`` cannot be evaluated in floats, or an entry of
+        ``a`` does not fit in int64.
     """
     _, hnorm2, t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)
     return _solve_row(ch.h, ch.P, hnorm2.item(), t[0], order[0], sign[0], f[0], q[0],

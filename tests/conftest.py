@@ -7,6 +7,19 @@ import pytest
 
 from cfcoef import ChannelInstance, ScaledChannel, svp_box_bound
 
+# at P = 10**307 this channel's P*||h||^2 is finite, but the builder's tail
+# sums add in another order and 1 + P*sum(h**2) overflows
+FLOAT_LIMIT_H = [
+    -1.6025395626327945, -2.9379891981601234, -0.5341798542109315,
+    0.8012697813163973, 2.4038093439491917, 0.26708992710546575,
+]
+
+# a channel whose optimal coefficient vector has an entry beyond int64 at 10 dB
+WIDE_H = [
+    -2.6472461677282857e23, 3.681245662485158e24, 635173579913371.4,
+    -3954028648.0651965, -5344472515826.404,
+]
+
 
 def make_channel(rng: np.random.Generator, n: int, P: float) -> ChannelInstance:
     return ChannelInstance(h=rng.standard_normal(n), P=P)

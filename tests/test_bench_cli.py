@@ -31,6 +31,7 @@ from cfcoef import (
 )
 from cfcoef.cli import main
 from cfcoef.core import _scale_rows
+from conftest import FLOAT_LIMIT_H, WIDE_H
 
 
 class TestSampling:
@@ -618,8 +619,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["solve"], ["list", "--l", "2"]])
     def test_overflowing_channel_is_an_error(self, argv, capsys):
-        assert main(argv + ["--h", "1e200 1e200", "--snr-db", "0"]) == 2
-        assert capsys.readouterr().err.startswith("error: P*||h||^2 is not finite")
+        # at 3070 dB only the builder's tail sums overflow
+        for h, snr_db in (("1e200 1e200", "0"), (" ".join(map(repr, FLOAT_LIMIT_H)), "3070")):
+            assert main(argv + ["--h", h, "--snr-db", snr_db]) == 2
+            assert capsys.readouterr().err.startswith("error: P*||h||^2 is not finite")
 
     @pytest.mark.parametrize("argv", [["solve"], ["list", "--l", "2"]])
     def test_degenerate_channel_is_an_error(self, argv, capsys):
@@ -628,6 +631,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: quadratic form evaluated to 0.0")
+
+    @pytest.mark.parametrize("argv", [["solve"], ["solve", "--no-shortcut"], ["list", "--l", "4"]])
+    def test_coefficient_beyond_int64_is_an_error(self, argv, capsys):
+        h = " ".join(map(repr, WIDE_H))
+        assert main(argv + ["--h", h, "--snr-db", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not fit in int64" in captured.err
+
+    def test_per_trial_csv_is_rejected_before_any_trial(self, monkeypatch, capsys):
+        import cfcoef.cli as cli
+
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        argv = ["bench", "--mode", "rate_avg", "--n", "8", "--snr-db", "10", "--trials", "4000",
+                "--format", "csv", "--per-trial"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: per-trial rows are only supported by json-lines\n"
 
     @pytest.mark.parametrize("parallel", ["0", "-2"])
     def test_unusable_parallel_is_an_error(self, parallel, capsys):

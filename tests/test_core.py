@@ -23,7 +23,7 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef.core import _channel_rows, _row_dots
-from conftest import make_channel
+from conftest import FLOAT_LIMIT_H, make_channel
 
 
 def brute_force_box(t, B):
@@ -90,13 +90,19 @@ class TestScaleChannel:
 
     @pytest.mark.parametrize("h, P", [
         ([1e200], 1.0), ([1e200, 1e200], 1.0), ([1e154, 1e154], 1.0), ([1e150, 2.0], 1e30),
+        (FLOAT_LIMIT_H, 10.0 ** 307),
     ])
     def test_overflowing_channel_is_a_clear_error(self, h, P):
         # pytest turns a RuntimeWarning into an error, so none may be emitted
         ch = ChannelInstance(h=h, P=P)
-        for build in (ScaledChannel.from_channel, scale_channel):
+        with pytest.raises(ValueError, match=r"P\*\|\|h\|\|\^2 is not finite"):
+            ScaledChannel.from_channel(ch)
+        if h == FLOAT_LIMIT_H:
+            # P*||h||^2 is finite: only the builder's tail sums overflow
+            assert np.isfinite(scale_channel(ch)).all()
+        else:
             with pytest.raises(ValueError, match=r"P\*\|\|h\|\|\^2 is not finite"):
-                build(ch)
+                scale_channel(ch)
 
     def test_tiny_channel_still_builds(self):
         # ||h||^2 underflows to 0: t is h * sqrt(P) and f stays at 1

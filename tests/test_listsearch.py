@@ -7,6 +7,7 @@ import pytest
 
 from cfcoef import (
     ChannelInstance,
+    NumericDegeneracyError,
     ScaledChannel,
     brute_force_topl,
     canonicalize,
@@ -21,7 +22,7 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef import listsearch
-from conftest import make_channel, same_up_to_sign
+from conftest import WIDE_H, make_channel, same_up_to_sign
 
 
 def canonical_sign(v: np.ndarray) -> tuple:
@@ -131,6 +132,12 @@ class TestListSolve:
         entries = list_solve(ch, 3)
         assert entries[0][1] == pytest.approx(0.5 * math.log2(1.0 / 0.04), rel=1e-6)
         assert entries[0][1] == pytest.approx(2.3219, abs=2e-4)
+
+    def test_coefficient_beyond_int64_is_a_degeneracy(self):
+        ch = ChannelInstance(h=WIDE_H, P=10.0)
+        for call in (lambda: list_solve(ch, 4), lambda: list_search(ScaledChannel.from_channel(ch), 4)):
+            with pytest.raises(NumericDegeneracyError, match="does not fit in int64"):
+                call()
 
     def test_rates_nonincreasing(self, rng):
         for _ in range(40):

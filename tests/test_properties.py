@@ -4,6 +4,8 @@ Examples are derandomized, so every run draws the same channels.  The
 dimension is drawn on both sides of the search's opening-scan cut-over.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from cfcoef import ChannelInstance, ScaledChannel, list_solve, solve
 from cfcoef.core import _channel_rows, _check_scaled, _check_signed_permutations
 
+FLOAT_MAX = np.finfo(np.float64).max
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
 
@@ -44,7 +47,11 @@ def edge_chunks(draw):
     n is 1, in 2..127 or in 128..300.  Entry magnitudes run from 2^-200 to
     2^100; about a fifth of the entries are zero, each row repeats some
     magnitude with the opposite sign, and one row in three has a single
-    magnitude throughout.  Every row keeps a nonzero entry.
+    magnitude throughout.  Every row keeps a nonzero entry.  One row in three
+    is then scaled so that ``max(P, 1) * ||h||^2`` lies within a few ulps of
+    the largest float, on either side; half of those first take a single
+    magnitude, whose many equal squares the tail sums and ``||h||^2`` round
+    apart the most.
     """
     n = draw(st.one_of(st.just(1), st.integers(2, 127), st.integers(128, 300)))
     m = draw(st.integers(1, 6))
@@ -57,7 +64,25 @@ def edge_chunks(draw):
     src, dst = rng.integers(0, n, (2, m))
     H[np.arange(m), dst] = -H[np.arange(m), src]
     H[~H.any(axis=1), 0] = 1.0
-    return H, 10.0 ** (draw(st.floats(-30.0, 60.0)) / 10.0)
+    P = 10.0 ** (draw(st.floats(-30.0, 60.0)) / 10.0)
+    for i in np.flatnonzero(rng.random(m) < 1 / 3):
+        if rng.random() < 0.5:
+            H[i] = np.abs(H[i]).max() * np.sign(H[i])
+        # g = H[i] scaled into [0.5, 1): its square sum neither overflows nor
+        # vanishes, and the scale factor stays finite
+        g = np.ldexp(H[i], -np.frexp(np.abs(H[i]).max())[1])
+        u = 1.0 + float(rng.integers(-24, 4)) * 2.0**-53
+        H[i] = g * (math.sqrt(FLOAT_MAX) * math.sqrt(u / (max(P, 1.0) * float(g @ g))))
+    return H, P
+
+
+def _builds(h, P) -> bool:
+    """True if the one channel ``h`` builds, False if it overflows."""
+    try:
+        _channel_rows(h[None], P)
+    except ValueError:
+        return False
+    return True
 
 
 @PROPERTY
@@ -66,7 +91,13 @@ def test_channel_rows_need_no_check(chunk):
     # the rows _channel_rows builds need no check: each must satisfy the
     # constructors' invariants and match the single-channel build
     H, P = chunk
-    _, _, t, order, sign, f, q = _channel_rows(H, P)
+    try:
+        _, _, t, order, sign, f, q = _channel_rows(H, P)
+    except ValueError as exc:
+        # a chunk overflows only where one of its rows overflows alone
+        assert str(exc).startswith("P*||h||^2 is not finite")
+        assert not all(_builds(h, P) for h in H)
+        return
     for i, h in enumerate(H):
         _check_scaled(t[i], f[i], q[i])
         _check_signed_permutations(order[i], sign[i])

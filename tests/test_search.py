@@ -31,7 +31,7 @@ from cfcoef.core import _channel_rows, _invert
 from cfcoef.search import (
     _answer, _clipped_round, _coefficients, _constrained_walk, _round_nearest, _solve_row,
 )
-from conftest import feasible_instance, make_channel, same_up_to_sign
+from conftest import FLOAT_LIMIT_H, WIDE_H, feasible_instance, make_channel, same_up_to_sign
 
 
 def enumerate_tree_count(sc, shell=1e-9):
@@ -588,12 +588,21 @@ class TestSolve:
 
     @pytest.mark.parametrize("h, P", [
         ([1e200], 1.0), ([1e200, 1e200], 1.0), ([1e154, 1e154], 1.0), ([1e150, 2.0], 1e30),
+        (FLOAT_LIMIT_H, 10.0 ** 307),
     ])
     def test_overflowing_channel_is_a_clear_error(self, h, P):
         ch = ChannelInstance(h=h, P=P)
         for call in (solve, lambda ch: list_solve(ch, 3)):
             with pytest.raises(ValueError, match=r"P\*\|\|h\|\|\^2 is not finite"):
                 call(ch)
+
+    @pytest.mark.parametrize("use_shortcut", [True, False])
+    def test_coefficient_beyond_int64_is_a_degeneracy(self, use_shortcut):
+        # entries spanning 15 orders of magnitude: the optimum's largest
+        # entry is about 2.6e19
+        ch = ChannelInstance(h=WIDE_H, P=10.0)
+        with pytest.raises(NumericDegeneracyError, match="does not fit in int64"):
+            solve(ch, use_shortcut=use_shortcut)
 
     def test_tiny_channel_still_solves(self):
         # ||h||^2 underflows to 0, so every objective is 1 and every rate 0
