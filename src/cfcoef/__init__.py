@@ -35,7 +35,6 @@ from .core import (
 from .listsearch import Candidate, CandidateList, list_search, list_solve
 from .oracle import (
     OracleInfeasibleError,
-    brute_force_best_two,
     brute_force_svp,
     brute_force_topl,
     svp_box_bound,
@@ -45,7 +44,6 @@ from .search import (
     SearchResult,
     SolveResult,
     baseline_search,
-    count_tree_nodes,
     count_visited_nodes,
     modified_search,
     solve,
@@ -70,7 +68,6 @@ __all__ = [
     "baseline_search",
     "modified_search",
     "solve",
-    "count_tree_nodes",
     "count_visited_nodes",
     "Candidate",
     "CandidateList",
@@ -80,7 +77,6 @@ __all__ = [
     "svp_box_bound",
     "topl_box_bound",
     "brute_force_svp",
-    "brute_force_best_two",
     "brute_force_topl",
     "MODES",
     "TrialConfig",

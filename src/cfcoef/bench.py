@@ -35,6 +35,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +44,6 @@ from itertools import compress
 import numpy as np
 
 from .core import (
-    ChannelInstance,
     NumericDegeneracyError,
     _channel_rows,
     _check_channels,
@@ -51,7 +51,6 @@ from .core import (
     _is_integer,
     _quadratic_forms,
     _rate,
-    _scale_rows,
     _unit_form,
 )
 from .listsearch import _list_row
@@ -134,6 +133,8 @@ class TrialConfig:
             value = getattr(self, name)
             if not _is_integer(value) and not (name == "list_size" and value is None):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # NumPy scalars are stored as Python numbers, which the report serializes
+            object.__setattr__(self, name, value if value is None else int(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         min_n = 2 if self.mode in _STATISTICAL_MODES else 1
@@ -144,6 +145,7 @@ class TrialConfig:
         if self.mode == "list" and (self.list_size is None or self.list_size < 1):
             raise ValueError("list mode requires list_size >= 1")
         _snr_power(self.snr_db)
+        object.__setattr__(self, "snr_db", float(self.snr_db))
 
     @property
     def P(self) -> float:
@@ -264,16 +266,6 @@ def _count_beating(denominators: list, best_rate: float) -> int:
     return sum(_rate(denom) > best_rate + _RATE_SLACK for denom in denominators)
 
 
-def _dominance_violations(ch: ChannelInstance, best_rate: float) -> int:
-    """Candidates that would beat the reported optimum (there should be none).
-
-    Checks every unit vector and the quantized candidates
-    ``round(c * t_raw)`` for ``c`` in 1..4.
-    """
-    t_raw, hnorm2 = _scale_rows(ch.h[None], ch.P)
-    return _count_beating(_dominance_denominators(ch.h[None], ch.P, hnorm2, t_raw)[0], best_rate)
-
-
 def _run_chunk(args) -> list:
     """Trials ``lo..hi-1`` of a run as ``(record, error or None)`` rows.
 
@@ -368,7 +360,7 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
 
     A serial run is one chunk of all its trials, and ``parallel`` > 1 splits
     the run into chunks of ``max(1, trials // (parallel * 8))`` trials and
-    distributes them over ``min(parallel, trials)`` worker processes.  Either
+    distributes them over ``min(parallel, chunks, usable CPUs)`` processes.  Either
     way a chunk is capped at ``_CHUNK_ENTRIES // n`` trials so that its
     arrays stay small.  Because each trial reseeds from ``(seed, trial)``,
     every per-trial value is computed from that trial's channel alone, and
@@ -397,7 +389,9 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
         for lo in range(0, cfg.trials, size)
     ]
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=min(parallel, cfg.trials)) as pool:
+        # with fork, the pool starts every worker at once: no more than chunks or usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        with ProcessPoolExecutor(max_workers=min(parallel, len(chunks), cpus or 1)) as pool:
             parts = list(pool.map(_run_chunk, chunks))
     else:
         parts = [_run_chunk(chunk) for chunk in chunks]

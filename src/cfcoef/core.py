@@ -139,9 +139,8 @@ class SignedPermutation:
     """A permutation combined with per-coordinate sign flips.
 
     Canonical slot ``i`` receives ``sign[i] * x[perm[i]]`` of the original
-    vector ``x``.  Applying :meth:`apply` then :meth:`invert` is the
-    identity, and inner products against correspondingly mapped vectors
-    are preserved exactly.
+    vector ``x``; :func:`restore` maps a canonical vector back.  Inner
+    products against correspondingly mapped vectors are preserved exactly.
     """
 
     perm: np.ndarray
@@ -163,23 +162,9 @@ class SignedPermutation:
     def n(self) -> int:
         return self.perm.size
 
-    def apply(self, x) -> np.ndarray:
-        """Map a vector from original to canonical coordinates."""
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}, got shape {x.shape}")
-        return self.sign * x[self.perm]
-
-    def invert(self, y) -> np.ndarray:
-        """Map a vector from canonical coordinates back to the original ones."""
-        y = np.asarray(y)
-        if y.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}, got shape {y.shape}")
-        return _invert(self.perm, self.sign, y)
-
 
 def _invert(perm: np.ndarray, sign: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:meth:`SignedPermutation.invert` on one row's ``perm`` and ``sign``."""
+    """:func:`restore` on one row's ``perm`` and ``sign``."""
     out = np.empty_like(y)
     out[perm] = sign * y
     return out
@@ -195,7 +180,7 @@ class ScaledChannel:
         Scaled channel in canonical form: sorted nonincreasing,
         nonnegative, with ``||t|| < 1`` strictly.
     perm : SignedPermutation
-        Mapping from original to canonical coordinates, ``t = perm.apply(t_raw)``.
+        Mapping from original to canonical coordinates (``t_raw`` to ``t``).
     f : ndarray, shape (n + 1,)
         ``f[i] = 1 - sum(t[:i]**2)``; ``f[0] == 1`` and ``f[n] = 1 - ||t||**2 > 0``.
     q : ndarray, shape (n,)
@@ -372,7 +357,10 @@ def canonicalize(t_raw) -> ScaledChannel:
 
 def restore(perm: SignedPermutation, a) -> np.ndarray:
     """Map a canonical-coordinate coefficient vector back to original coordinates."""
-    return perm.invert(a)
+    a = np.asarray(a)
+    if a.shape != (perm.n,):
+        raise ValueError(f"expected a vector of length {perm.n}, got shape {a.shape}")
+    return _invert(perm.perm, perm.sign, a)
 
 
 def cholesky_factor(sc: ScaledChannel) -> np.ndarray:

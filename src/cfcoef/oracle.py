@@ -4,12 +4,12 @@ These enumerate an integer box that provably contains every solution and
 evaluate the objective ``||a||^2 - (t'a)^2`` directly, giving the search
 algorithms an independent ground truth.  Box sizing:
 
-* single optimum: any minimizer satisfies
+* single optimum (:func:`brute_force_svp`): any minimizer satisfies
   ``||a||^2 <= (1 - max(t)^2) / (1 - ||t||^2)`` because the quadratic form
   is at least ``(1 - ||t||^2) ||a||^2`` and the best unit vector already
   achieves ``1 - max(t)^2``;
-* top-L lists: every member has objective below 1, hence
-  ``||a||^2 < 1 / (1 - ||t||^2)``.
+* top-L lists (:func:`brute_force_topl`): every member has objective
+  below 1, hence ``||a||^2 < 1 / (1 - ||t||^2)``.
 
 Only one representative of each ``{a, -a}`` pair is enumerated (the one
 whose first nonzero coordinate is positive).  Instances whose box would
@@ -31,7 +31,6 @@ __all__ = [
     "svp_box_bound",
     "topl_box_bound",
     "brute_force_svp",
-    "brute_force_best_two",
     "brute_force_topl",
 ]
 
@@ -137,19 +136,6 @@ def brute_force_svp(t, box: int | None = None) -> SearchResult:
     if inner < 0.0:
         best = -best
     return SearchResult(a=best, objective=best_obj, nodes_visited=examined)
-
-
-def brute_force_best_two(t, box: int | None = None) -> tuple:
-    """(best objective, second-best objective) over distinct sign pairs.
-
-    A strictly larger second value certifies that the optimum is unique up
-    to global sign.
-    """
-    t, _ = _check_t(t)
-    B = svp_box_bound(t) if box is None else _require_count(box, "box")
-    _require_enumerable(B, t.size)
-    _, best_obj, second_obj, _ = _scan_best_two(t, B)
-    return best_obj, second_obj
 
 
 def brute_force_topl(t, L: int, box: int | None = None) -> CandidateList:

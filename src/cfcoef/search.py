@@ -7,16 +7,15 @@ production path works from the implicit factorization carried by a
 enumerates only candidates with ``a[0] >= a[1] >= ... >= a[n-1] >= 0``,
 which is sufficient because the canonical ordering of ``t`` guarantees a
 solution of that shape exists.  One walk of that constrained tree serves
-three callers: :func:`modified_search` shrinks its radius to find the
-optimum, while :func:`count_tree_nodes` and :func:`count_visited_nodes`
-hold the radius at ``q[0]`` and count feasible partial assignments and
+two callers: :func:`modified_search` shrinks its radius to find the
+optimum, and :func:`count_visited_nodes` holds it at ``q[0]`` to count the
 tested candidates, the complexity meter used by the benchmark harness.
 
 At large ``n`` the walk's cost is mostly one O(n) scan: its opening climb
 from level 0 through untouched levels at radius ``q[0]``, which reads only
 ``t``, ``f`` and ``q``.  From :data:`_VECTOR_SCAN_MIN_N` levels on that scan
 runs as one numpy pass (:func:`_opening_scan`) with the same float values,
-so node counts, leaves and incumbents do not change.
+so node counts and incumbents do not change.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "baseline_search",
     "modified_search",
     "solve",
-    "count_tree_nodes",
     "count_visited_nodes",
 ]
 
@@ -150,7 +148,7 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     ``a[n] = 0``); the ``flag`` marker records that the clip was hit, after
     which enumeration proceeds upward only.  At a passing leaf, with
     ``shrink`` the vector becomes the incumbent and the radius drops to its
-    objective; without it the leaf is only counted.  Either way the walk
+    objective; without it the radius stays.  Either way the walk
     moves on to the next level-0 candidate, which is never closer to the
     center, so after a shrink its test fails.
 
@@ -180,16 +178,16 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     otherwise the walk starts at the hand-over level with the node count
     the per-level scan would have reached.
 
-    Returns ``(best, incumbents, nodes, leaves)``: the last incumbent's
-    ``a[:n]`` (None while it is the first unit vector), the successive
-    squared radii from ``q[0]``, the radius tests and the passing leaves.
+    Returns ``(best, incumbents, nodes)``: the last incumbent's ``a[:n]``
+    (None while it is the first unit vector), the successive squared radii
+    from ``q[0]``, and the radius tests.
     """
     n = t.size
     k = top = nodes = 0  # top: highest level entered; all above are untouched
     if n >= _VECTOR_SCAN_MIN_N:
         k, nodes = _opening_scan(t, f, q)
         if k == n:
-            return None, [float(q[0])], nodes, 0
+            return None, [float(q[0])], nodes
         top = k
     t = t.tolist()
     f = f.tolist()
@@ -206,7 +204,6 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     delta = q[k]
     best = None
     incumbents = [beta2]
-    leaves = 0
 
     while True:
         nodes += 1
@@ -229,7 +226,6 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
                 a[k] = ak
                 delta = q[k] * (ak - dk) ** 2
                 continue
-            leaves += 1
             if shrink:
                 beta2 = alpha
                 best = a[:n]
@@ -273,7 +269,7 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
             s[k] = -s[k] - _sgn(s[k])
         delta = q[k] * (ak - d[k]) ** 2
 
-    return best, incumbents, nodes, leaves
+    return best, incumbents, nodes
 
 
 def modified_search(sc: ScaledChannel) -> SearchResult:
@@ -283,7 +279,7 @@ def modified_search(sc: ScaledChannel) -> SearchResult:
     becomes every complete vector the walk finds strictly inside the radius,
     which shrinks to its objective; the last incumbent is optimal.
     """
-    best, incumbents, nodes, _ = _constrained_walk(sc.t, sc.f, sc.q, shrink=True)
+    best, incumbents, nodes = _constrained_walk(sc.t, sc.f, sc.q, shrink=True)
     return SearchResult(
         a=_coefficients(best, sc.n),
         objective=float(incumbents[-1]),
@@ -321,7 +317,7 @@ def _solve_row(h, P, hnorm2, t, order, sign, f, q, shortcut: bool) -> SolveResul
     if shortcut:
         best, objective, nodes = None, float(q[0]), 0
     else:
-        best, incumbents, nodes, _ = _constrained_walk(t, f, q, shrink=True)
+        best, incumbents, nodes = _constrained_walk(t, f, q, shrink=True)
         objective = float(incumbents[-1])
     if best is None:
         # the first unit vector maps back to sign[0] at order[0]; its rate
@@ -342,26 +338,6 @@ def _answer(h, P, hnorm2, order, sign, a) -> tuple:
     return a, _rate(_quadratic_form(h, P, hnorm2, a.astype(np.float64)))
 
 
-def count_tree_nodes(sc: ScaledChannel) -> int:
-    """Exact number of constrained partial assignments at fixed radius.
-
-    With the squared radius pinned at its initial value ``q[0]``, this is
-    the cardinality of the set of integer partial vectors
-    ``(a[k], ..., a[n-1])`` with ``a[k] >= ... >= a[n-1] >= 0`` and squared
-    residual strictly inside the radius, summed over every level ``k``.
-    The all-zero partial assignment at each level is feasible by
-    construction and accounts for a baseline count of ``n``; the walk only
-    ever tests candidates beyond that implicit start.
-
-    The rest is the number of passing tests.  The walk starts at level 0
-    and ends at level ``n-1`` on a failing test; every other failing test
-    climbs one level and every passing test above level 0 descends one, so
-    ``passed = (tests - n + leaves) / 2``.
-    """
-    _, _, tests, leaves = _constrained_walk(sc.t, sc.f, sc.q, shrink=False)
-    return sc.n + (tests - sc.n + leaves) // 2
-
-
 def count_visited_nodes(sc: ScaledChannel) -> int:
     """Nodes the fixed-radius walk generates and tests, leaves included.
 
@@ -376,7 +352,7 @@ def count_visited_nodes(sc: ScaledChannel) -> int:
 
 def _visited_nodes(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> int:
     """:func:`count_visited_nodes` on one canonical row."""
-    _, _, tests, _ = _constrained_walk(t, f, q, shrink=False)
+    _, _, tests = _constrained_walk(t, f, q, shrink=False)
     return tests - 1
 
 

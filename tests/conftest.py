@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cfcoef import ChannelInstance, ScaledChannel, svp_box_bound
+from cfcoef import (
+    ChannelInstance,
+    ScaledChannel,
+    computation_rate,
+    scale_channel,
+    svp_box_bound,
+)
 
 # at P = 10**307 this channel's P*||h||^2 is finite, but the builder's tail
 # sums add in another order and 1 + P*sum(h**2) overflows
@@ -45,6 +51,20 @@ def feasible_instance(
         if B <= 50 and (2 * B + 1) ** n <= max_points:
             return ch, sc
     raise RuntimeError(f"no enumerable instance found for n={n}, P={P}")
+
+
+def dominance_candidates(ch):
+    """Every unit vector, then each nonzero ``round(c * t_raw)`` for c in 1..4."""
+    t_raw = scale_channel(ch)
+    quantized = [np.rint(c * t_raw).astype(np.int64) for c in range(1, 5)]
+    return list(np.eye(ch.n, dtype=np.int64)) + [a for a in quantized if a.any()]
+
+
+def dominance_violations(ch, best_rate):
+    """Dominance candidates whose :func:`computation_rate` beats ``best_rate``
+    by more than 1e-9, the ``rate_avg`` mode's slack; the first one whose rate
+    cannot be evaluated raises its ``NumericDegeneracyError``."""
+    return sum(computation_rate(ch, a) > best_rate + 1e-9 for a in dominance_candidates(ch))
 
 
 def same_up_to_sign(a, b) -> bool:

@@ -31,10 +31,9 @@ from cfcoef import (
     topl_box_bound,
     trial_rng,
 )
-from cfcoef.bench import _dominance_violations
 from cfcoef.cli import main
 from cfcoef.oracle import _require_enumerable, _scan_best_two
-from conftest import same_up_to_sign
+from conftest import dominance_violations, same_up_to_sign
 
 REL_TOL = 1e-9
 
@@ -207,7 +206,7 @@ def test_criterion_8_rate_dominance():
             for _ in range(223):
                 ch = ChannelInstance(h=rng.standard_normal(n), P=P)
                 out = solve(ch)
-                violations += _dominance_violations(ch, out.rate)
+                violations += dominance_violations(ch, out.rate)
                 total += 1
         assert total == 2007
         assert violations == 0

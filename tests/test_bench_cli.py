@@ -25,13 +25,12 @@ from cfcoef import (
     list_solve,
     run_trials,
     sample_channel,
-    scale_channel,
     solve,
     trial_rng,
 )
 from cfcoef.cli import main
 from cfcoef.core import _scale_rows
-from conftest import FLOAT_LIMIT_H, WIDE_H
+from conftest import FLOAT_LIMIT_H, WIDE_H, dominance_candidates, dominance_violations
 
 
 class TestSampling:
@@ -97,6 +96,18 @@ class TestTrialConfig:
         cfg = TrialConfig(mode="list", n=np.int64(4), snr_db=0.0, trials=np.int32(10),
                           seed=np.uint64(2**64 - 1), list_size=np.int64(2))
         assert cfg.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("fmt, keep", [("json-lines", True), ("csv", False)])
+    def test_numpy_scalars_give_the_same_report(self, fmt, keep):
+        # NumPy scalars are stored as Python numbers, so the report serializes
+        plain = TrialConfig(mode="list", n=4, trials=5, seed=3, list_size=2, snr_db=10.0)
+        scalars = TrialConfig(mode="list", n=np.int64(4), trials=np.int64(5), seed=np.uint64(3),
+                              list_size=np.int64(2), snr_db=np.float32(10.0))
+        names = ("n", "trials", "seed", "list_size", "snr_db")
+        assert [type(getattr(scalars, name)) for name in names] == [int, int, int, int, float]
+        reports = [replace(run_trials(cfg, keep_per_trial=keep), wall_time=0.0)
+                   for cfg in (plain, scalars)]
+        assert emit_report(reports[1], fmt) == emit_report(reports[0], fmt)
 
 
 class TestRunTrials:
@@ -174,10 +185,12 @@ class TestRunTrials:
         with pytest.raises(NumericDegeneracyError) as first:
             computation_rate(ch, [3, 0])
         with pytest.raises(NumericDegeneracyError, match=re.escape(str(first.value))):
-            bench._dominance_violations(ch, rate)
+            dominance_violations(ch, rate)
         cfg = TrialConfig(mode="rate_avg", n=2, snr_db=0.0, trials=9, seed=7)
         self._replace_trial(monkeypatch, cfg, 5, ch.h)
         assert run_trials(cfg).result["degenerate_trials"] == [5]
+        rows = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
+        assert rows[5] == ({"trial": 5}, str(first.value))
 
     @pytest.mark.parametrize("mode", ["e1_freq", "list"])
     def test_zero_channel_is_rejected(self, monkeypatch, mode):
@@ -199,8 +212,10 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="parallel"):
             run_trials(cfg, parallel=parallel)
 
-    def test_pool_never_outnumbers_trials(self, monkeypatch):
-        # a recorder stands in for the pool, so no worker process starts
+    @staticmethod
+    def _recording_pool(monkeypatch, cpus):
+        """The worker counts asked of the pool on ``cpus`` usable CPUs; a
+        recorder stands in for the pool, so no worker process starts."""
         requested = []
 
         class RecordingPool(_InlinePool):
@@ -208,11 +223,31 @@ class TestRunTrials:
                 requested.append(max_workers)
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        return requested
+
+    def test_pool_never_outnumbers_trials(self, monkeypatch):
+        requested = self._recording_pool(monkeypatch, cpus=1000)
         cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=3, seed=8)
         capped = run_trials(cfg, parallel=64)
         run_trials(TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=40, seed=8), parallel=2)
         assert requested == [3, 2]
         assert capped.result == run_trials(cfg, parallel=1).result
+
+    def test_pool_never_outnumbers_cpus(self, monkeypatch):
+        # 400 chunks of one trial each, on 3 usable CPUs
+        requested = self._recording_pool(monkeypatch, cpus=3)
+        cfg = TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=400, seed=8)
+        capped = run_trials(cfg, parallel=50_000)
+        assert requested == [3]
+        assert capped.result == run_trials(cfg, parallel=1).result
+        # where affinity is unknown, the CPU count rules, and an unknown one means 1
+        monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+        run_trials(cfg, parallel=4)
+        assert requested == [3, 1]
 
 
 class _InlinePool:
@@ -231,20 +266,13 @@ class _InlinePool:
         return map(fn, iterable)
 
 
-def _dominance_candidates(ch):
-    """Every unit vector, then each nonzero ``round(c * t_raw)`` for c in 1..4."""
-    t_raw = scale_channel(ch)
-    quantized = [np.rint(c * t_raw).astype(np.int64) for c in range(1, 5)]
-    return list(np.eye(ch.n, dtype=np.int64)) + [a for a in quantized if a.any()]
-
-
 def _assert_same_rates(h, P):
     """``_rate`` of each chunk denominator of the rows ``h`` is the
     ``computation_rate`` of its candidate, or both raise the same error."""
     t_raw, hnorm2 = _scale_rows(h, P)
     for row, denominators in zip(h, bench._dominance_denominators(h, P, hnorm2, t_raw)):
         ch = ChannelInstance(h=row, P=P)
-        candidates = _dominance_candidates(ch)
+        candidates = dominance_candidates(ch)
         assert len(denominators) == len(candidates)
         for denom, a in zip(denominators, candidates):
             try:
@@ -274,7 +302,7 @@ def _public_rows(cfg):
             out = solve(ch)
             if cfg.mode == "rate_avg":
                 rows.append({"trial": j, "rate": out.rate})
-                violations += bench._dominance_violations(ch, out.rate)
+                violations += dominance_violations(ch, out.rate)
             else:
                 rows.append({"trial": j, "rate": out.rate, "nodes": out.nodes_visited,
                              "shortcut": int(out.used_shortcut)})
@@ -369,9 +397,8 @@ class TestChunkedTrials:
 
 class TestDominanceDenominators:
     """Each chunk denominator gives the rate ``computation_rate`` gives its
-    candidate.  ``test_rows_match_public_calls`` compares the chunk with
-    ``_dominance_violations``, which shares its code, so a float drift in
-    the batched forms would show only here."""
+    candidate.  ``test_rows_match_public_calls`` compares the chunk's counts
+    with ``computation_rate``'s; this checks every candidate's rate."""
 
     @pytest.mark.parametrize("n", [2, 3, 8, 33, 300])
     @pytest.mark.parametrize("kind", ["gaussian", "integer", "tiny"])

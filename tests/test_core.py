@@ -263,12 +263,18 @@ class TestRestore:
         perm = SignedPermutation(perm=[0, 1, 2], sign=[1, 1, 1])
         assert restore(perm, [3, -2, 1]).tolist() == [3, -2, 1]
 
+    @pytest.mark.parametrize("a", [[1, 0], [1, 0, 0, 0], [[1, 0, 0]], 1])
+    def test_rejects_wrong_shape(self, a):
+        perm = SignedPermutation(perm=[2, 0, 1], sign=[1, -1, 1])
+        with pytest.raises(ValueError, match="expected a vector of length 3"):
+            restore(perm, a)
+
     def test_round_trip(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 10))
             sc = canonicalize(0.9 * rng.uniform(-1, 1, n) / math.sqrt(n))
             a = rng.integers(-5, 6, n)
-            np.testing.assert_array_equal(restore(sc.perm, sc.perm.apply(a)), a)
+            np.testing.assert_array_equal(restore(sc.perm, sc.perm.sign * a[sc.perm.perm]), a)
 
     def test_objective_is_preserved(self, rng):
         for _ in range(100):

@@ -7,7 +7,6 @@ import pytest
 
 from cfcoef import (
     OracleInfeasibleError,
-    brute_force_best_two,
     brute_force_svp,
     brute_force_topl,
     canonicalize,
@@ -95,7 +94,7 @@ class TestBruteForceSvp:
         with pytest.raises(OracleInfeasibleError):
             brute_force_svp(t)
 
-    @pytest.mark.parametrize("oracle", [brute_force_svp, brute_force_best_two,
+    @pytest.mark.parametrize("oracle", [brute_force_svp,
                                         lambda t, box: brute_force_topl(t, 3, box=box)])
     @pytest.mark.parametrize("box", [-2, 0, 2.7, True])
     def test_rejects_bad_box(self, oracle, box):
@@ -109,20 +108,6 @@ class TestBruteForceSvp:
         assert svp_box_bound(t) <= 50
         with pytest.raises(OracleInfeasibleError):
             brute_force_svp(t)
-
-
-class TestBestTwo:
-    def test_worked_gap(self):
-        best, second = brute_force_best_two([0.75, 0.65])
-        assert best == pytest.approx(0.04, rel=1e-9)
-        assert second == pytest.approx(0.16, rel=1e-9)
-
-    def test_ordering(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 4))
-            t = rng.uniform(-0.6, 0.6, n) / math.sqrt(n)
-            best, second = brute_force_best_two(t)
-            assert best <= second
 
 
 class TestBruteForceTopL:

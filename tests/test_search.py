@@ -15,7 +15,6 @@ from cfcoef import (
     canonicalize,
     cholesky_factor,
     computation_rate,
-    count_tree_nodes,
     count_visited_nodes,
     e1_is_optimal,
     list_solve,
@@ -37,6 +36,11 @@ from conftest import FLOAT_LIMIT_H, WIDE_H, feasible_instance, make_channel, sam
 def enumerate_tree_count(sc, shell=1e-9):
     """Independent per-level set enumeration for the fixed-radius tree.
 
+    Returns the set sizes ``E``: ``E[k]`` counts the partial vectors
+    ``(a[k], ..., a[n-1])`` with ``a[k] >= ... >= a[n-1] >= 0`` strictly
+    inside the radius ``q[0]``, so ``E[0]`` counts the complete vectors, the
+    zero vector included.
+
     Bounds each level block through the smallest eigenvalue of its Gram,
     ``||a||^2 <= beta^2 * f[k] / f[n]``, which provably contains the set.
     Membership is tested against ``beta^2 * (1 - shell)`` because the
@@ -47,7 +51,7 @@ def enumerate_tree_count(sc, shell=1e-9):
     n = sc.n
     beta2 = float(sc.q[0])
     cutoff = beta2 * (1.0 - shell)
-    total = 0
+    sizes = [0] * n
     for k in range(n):
         lam = float(sc.f[-1] / sc.f[k])
         B = int(math.floor(math.sqrt(beta2 / lam))) + 1
@@ -57,8 +61,8 @@ def enumerate_tree_count(sc, shell=1e-9):
                 continue
             v = sub @ np.array(tup, dtype=float)
             if float(v @ v) < cutoff:
-                total += 1
-    return total
+                sizes[k] += 1
+    return sizes
 
 
 class TestBaselineSearch:
@@ -234,12 +238,13 @@ PINNED_EDGES = [
 ]
 
 
-# Frozen fixed-radius counts: (n, snr_db, seed, trial, count_tree_nodes,
-# count_visited_nodes), recorded from a walk without the untouched-level
-# look-ahead.  The n=100 and n=1000 rows climb through hundreds of untouched
-# levels; n=1 ends after its first test; the rest (e1 not optimal) have 1 to
-# 13 complete vectors inside the fixed radius, so the walk continues past
-# passing leaves.
+# Frozen fixed-radius counts: (n, snr_db, seed, trial, tree, count_visited_nodes),
+# recorded from a walk without the untouched-level look-ahead.  ``tree`` is the
+# size of the fixed-radius tree, the sum of enumerate_tree_count's sets, which
+# _assert_tree checks against the rest of the row.  The n=100 and n=1000 rows
+# climb through hundreds of untouched levels; n=1 ends after its first test;
+# the rest (e1 not optimal) have 1 to 13 complete vectors inside the fixed
+# radius, so the walk continues past passing leaves.
 PINNED_COUNTS = [
     (100, 20, 11, 0, 161, 221),
     (100, 20, 11, 1, 141, 181),
@@ -260,9 +265,9 @@ PINNED_COUNTS = [
 
 # Frozen outputs around the opening scan's cut-over: (n, snr_db, head, trial,
 # nodes_visited, incumbents as float.hex, nonzero prefix of the canonical a,
-# count_tree_nodes, count_visited_nodes), recorded before the scan had a
-# numpy form.  Channels are trial_rng(17, trial) draws whose first ``head``
-# gains are made strong (see _head_channel).  j is the level where the
+# tree, count_visited_nodes), recorded before the scan had a numpy form.
+# Channels are trial_rng(17, trial) draws whose first ``head`` gains are made
+# strong (see _head_channel).  j is the level where the
 # opening scan hands over, n when it passes level n-1 and ends the walk:
 #   head 0 at 0 and 20 dB (and n=2000 at 40 dB): j = n;
 #   head 0 at 40 and 60 dB otherwise: j between 120 and 1989, one incumbent;
@@ -321,6 +326,20 @@ def _pinned_search(n, snr_db, seed, trial):
     return modified_search(sc)
 
 
+def _assert_tree(tree, n, visited, incumbents):
+    """A pinned tree size against the walk's identity ``visited = 2*tree - n - E[0]``.
+
+    ``E[0]`` counts the complete vectors inside the fixed radius, the zero
+    vector included (see enumerate_tree_count).  The vectors the search
+    improves to are among them, and the fixed-radius walk meets the same
+    tests until its first passing leaf, so ``E[0]`` is 1 when the search
+    keeps the first unit vector and at least the incumbent count otherwise.
+    """
+    complete = 2 * tree - n - visited
+    assert complete >= len(incumbents)
+    assert (complete == 1) == (len(incumbents) == 1)
+
+
 def _assert_pinned(res, nodes, incumbents, prefix):
     assert res.nodes_visited == nodes
     assert tuple(x.hex() for x in res.incumbents) == incumbents
@@ -349,8 +368,8 @@ class TestPinnedTraversal:
     def test_node_counts(self, n, snr_db, seed, trial, tree, visited):
         h = sample_channel(n, trial_rng(seed, trial))
         sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
-        assert count_tree_nodes(sc) == tree
         assert count_visited_nodes(sc) == visited
+        _assert_tree(tree, n, visited, modified_search(sc).incumbents)
 
     @pytest.mark.parametrize(
         "n, snr_db, head, trial, nodes, incumbents, prefix, tree, visited", PINNED_CUTOVER
@@ -358,8 +377,8 @@ class TestPinnedTraversal:
     def test_cutover(self, n, snr_db, head, trial, nodes, incumbents, prefix, tree, visited):
         sc = _scaled(_head_channel(n, head, trial), snr_db)
         _assert_pinned(modified_search(sc), nodes, incumbents, prefix)
-        assert count_tree_nodes(sc) == tree
         assert count_visited_nodes(sc) == visited
+        _assert_tree(tree, n, visited, incumbents)
 
 
 class TestOpeningScan:
@@ -418,13 +437,13 @@ class TestOpeningScan:
 class TestNodeCounters:
     def test_decoupled_two_dim(self):
         sc = canonicalize([0.9, 0.0])
-        assert count_tree_nodes(sc) == 2
+        assert enumerate_tree_count(sc) == [1, 1]
         assert count_visited_nodes(sc) == 1
 
     def test_worked_dense_instance(self):
-        # |E_2| = 4 (0..3) and |E_1| = {00, 11, 21, 22, 32, 33}
+        # E[1] = {0..3} and E[0] = {00, 11, 21, 22, 32, 33}
         sc = canonicalize([0.75, 0.65])
-        assert count_tree_nodes(sc) == 10
+        assert enumerate_tree_count(sc) == [6, 4]
         assert count_visited_nodes(sc) == 12
 
     def test_matches_independent_enumeration(self, rng):
@@ -434,7 +453,12 @@ class TestNodeCounters:
             sc = ScaledChannel.from_channel(make_channel(rng, n, P))
             if float(sc.q[0]) / float(sc.f[-1] / sc.f[0]) > 256.0:
                 continue  # keep the reference box enumerable
-            assert count_tree_nodes(sc) == enumerate_tree_count(sc)
+            # the walk starts at level 0 and ends on a failing test at level
+            # n-1; every other failing test climbs a level and every passing
+            # one descends, except the E[0] - 1 passing leaves, so it makes
+            # 2*sum(E) - n - E[0] + 1 tests, the first of them seeded
+            sizes = enumerate_tree_count(sc)
+            assert count_visited_nodes(sc) == 2 * sum(sizes) - n - sizes[0]
 
     def test_budget_on_gaussian_channels(self, rng):
         for _ in range(300):
@@ -444,7 +468,6 @@ class TestNodeCounters:
             sc = ScaledChannel.from_channel(ch)
             budget = 2.0 * n * math.sqrt(1.0 + P * float(ch.h @ ch.h))
             assert count_visited_nodes(sc) < budget
-            assert count_tree_nodes(sc) < budget
 
     def test_search_evaluations_bounded_by_fixed_walk(self, rng):
         for _ in range(200):
@@ -453,13 +476,12 @@ class TestNodeCounters:
             sc = ScaledChannel.from_channel(make_channel(rng, n, P))
             visited = modified_search(sc).nodes_visited
             assert visited <= count_visited_nodes(sc) + 1
-            assert visited <= 2 * count_tree_nodes(sc) - n
 
     def test_shrinking_can_exceed_literal_set_count(self):
         # the evaluation metric counts leaf tests, so it may exceed the
         # cardinality of the feasible sets themselves
         sc = canonicalize([0.6, 0.55])
-        assert count_tree_nodes(sc) == 3
+        assert sum(enumerate_tree_count(sc)) == 3
         assert modified_search(sc).nodes_visited == 4
         assert count_visited_nodes(sc) == 3
 
