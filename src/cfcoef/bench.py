@@ -7,18 +7,20 @@ trial index.
 
 Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries: a
 serial run is as few chunks as that cap allows, and a pooled run gives each
-worker about eight.  A chunk derives every trial's PCG64 state from
+worker about eight.  A chunk derives every trial's PCG64 seed words from
 ``SeedSequence([seed, j])`` in one vectorized pass and draws its channels
 into one ``(m, n)`` array, bit for bit the draws of :func:`trial_rng`,
 which remains the one-trial reference.  The chunk checks its channels (they
 skip :class:`ChannelInstance`), builds all its canonical rows with the
 builder call ``solve`` and ``list_solve`` make, and tests the first unit
-vector on all of them in one more call; ``rate_avg`` evaluates every row's
-dominance candidates as arrays too.  Only the search and the map back run
-per trial, and each trial's record is written once, under its
-``per_trial`` names.  Each row is the same float the single-channel calls
-give, so the ``result`` bytes and per-trial rows do not depend on the
-chunk size.
+vector on all of them in one more call.  Only the search runs per trial:
+``solve`` and ``rate_avg`` map back and form every answer of the chunk in
+one pass and take one rate per trial, and ``rate_avg`` evaluates every
+row's dominance candidates as arrays and rates them only where a form
+threshold cannot decide the count (``list`` maps back per trial).  Each
+trial's record is written once, under its ``per_trial`` names.  Each value
+is the same float the single-channel calls give, so the ``result`` bytes
+and per-trial rows do not depend on the chunk size.
 Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
@@ -35,11 +37,11 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .core import (
     _unit_form,
 )
 from .listsearch import _list_row
-from .search import _solve_row, _visited_nodes
+from .search import _coefficients, _constrained_walk, _visited_nodes
 
 __all__ = [
     "MODES",
@@ -82,7 +84,6 @@ _MULTIPLES = np.arange(1.0, 5.0)[:, None]
 _CHUNK_ENTRIES = 1 << 16
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -95,12 +96,11 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 
 # numpy's SeedSequence with its 4-word pool: the hash constants run through
 # the same sequence for every input, 16 steps to mix the pool and 8 to emit
-# the state words.  PCG64 then seeds itself with two 128-bit LCG steps.
+# the state words, from which PCG64 seeds itself.
 _POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
@@ -142,8 +142,12 @@ class TrialConfig:
             raise ValueError(f"n must be at least {min_n} for mode {self.mode!r}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.mode == "list" and (self.list_size is None or self.list_size < 1):
+        if self.list_size is not None and self.list_size < 1:
+            raise ValueError(f"list_size must be at least 1, got {self.list_size!r}")
+        if self.mode == "list" and self.list_size is None:
             raise ValueError("list mode requires list_size >= 1")
+        if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
+            raise ValueError(f"snr_db must be a real number, got {self.snr_db!r}")
         _snr_power(self.snr_db)
         object.__setattr__(self, "snr_db", float(self.snr_db))
 
@@ -178,8 +182,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def sample_channel(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. standard normal channel gains."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     return rng.standard_normal(n)
 
 
@@ -216,106 +220,162 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
     return (state[0::2] | state[1::2] << 32).T
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One trial's :func:`_seed_words` in place of its ``SeedSequence``: the
+    answer to ``PCG64``'s ``generate_state(4, np.uint64)``, and to no other
+    request.  ``PCG64`` reads the raw buffer, so ``words`` must be a
+    C-contiguous uint64 row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 seed words, not {n_words!r} of {dtype!r}")
+        return self.words
+
+
 def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The ``(hi-lo, n)`` channels of trials ``lo..hi-1``, bit for bit those of
-    ``sample_channel(n, trial_rng(seed, j))``.
-
-    One generator is reused: each trial sets the PCG64 ``(state, inc)`` that
-    seeding from its :func:`_seed_words` gives and draws its row in place.
+    ``sample_channel(n, trial_rng(seed, j))``: each trial's ``PCG64`` seeds
+    from its :func:`_seed_words` and draws its row in place.
     """
     h = np.empty((hi - lo, n))
-    gen = np.random.Generator(np.random.PCG64(0))
-    bitgen = gen.bit_generator
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(h, _seed_words(seed, lo, hi).tolist()):
-        # PCG64 seeds from (initstate, initseq), the two word pairs: inc is
-        # 2*initseq + 1, and state takes two LCG steps from 0 with
-        # initstate added between them
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=row)
+    for row, words in zip(h, np.ascontiguousarray(_seed_words(seed, lo, hi))):
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
     return h
 
 
-def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: np.ndarray) -> list:
-    """Per channel row, the quadratic forms of the dominance candidates.
+def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
+    """``solve`` on every row of a chunk as ``(rates, nodes, errors)`` lists.
 
-    The candidates are every unit vector, then each nonzero quantized
-    ``round(c * t_raw)`` for ``c`` in 1..4, in that order.  Each value is the
-    float :func:`~cfcoef.core.computation_rate` evaluates: the unit vectors'
-    forms come from :func:`~cfcoef.core._unit_form` over every row at once;
-    the four quantized candidates of every row go through
+    The rows whose unit-vector test failed are walked.  The rows answered by
+    the first unit vector, from the test or from the walk, are formed by one
+    :func:`~cfcoef.core._unit_form` pass; the other answers are mapped back by
+    one scatter and formed by one :func:`~cfcoef.core._quadratic_forms` call.
+    Each row then takes one ``_rate``, so every rate is the float of
+    :func:`~cfcoef.search._solve_row`.  ``errors[i]`` is the message of the
+    first ``NumericDegeneracyError`` that ``solve`` raises on row ``i``, an
+    entry beyond int64 before a degenerate form; ``rates[i]`` is then nan.
+    """
+    m, n = t.shape
+    bests, nodes, errors = [None] * m, [0] * m, [None] * m
+    for i in np.flatnonzero(~hits).tolist():
+        bests[i], _, nodes[i] = _constrained_walk(t[i], f[i], q[i], shrink=True)
+    walked = [i for i, best in enumerate(bests) if best is not None]
+    try:
+        coefs = np.array([bests[i] for i in walked], dtype=np.int64)
+    except OverflowError:
+        for i in walked:
+            try:
+                _coefficients(bests[i], n)
+            except NumericDegeneracyError as exc:
+                errors[i] = str(exc)
+        walked = [i for i in walked if errors[i] is None]
+        coefs = np.array([bests[i] for i in walked], dtype=np.int64)
+    a = np.zeros((len(walked), n), dtype=np.int64)
+    a[np.arange(len(walked))[:, None], order[walked]] = sign[walked] * coefs.reshape(a.shape)
+    unit = [i for i, best in enumerate(bests) if best is None]
+    forms = np.full(m, np.nan)
+    with np.errstate(over="ignore"):
+        forms[unit] = _unit_form(h[unit, order[unit, 0]], P, hnorm2[unit])
+    forms[walked] = _quadratic_forms(h[walked], P, hnorm2[walked], a[:, None, :].astype(np.float64))[:, 0]
+    rates = [math.nan] * m
+    for i, form in enumerate(forms.tolist()):
+        if errors[i] is None:
+            try:
+                rates[i] = _rate(form)
+            except NumericDegeneracyError as exc:
+                errors[i] = str(exc)
+    return rates, nodes, errors
+
+
+def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
+    """The quadratic forms of each channel row's dominance candidates, shape ``(m, n + 4)``.
+
+    The candidates are every unit vector, then ``round(c * t_raw)`` for ``c``
+    in 1..4, in that order; a zero quantized candidate has no rate and its
+    entry is ``+inf``, which never beats and never degenerates.  Each other
+    value is the float :func:`~cfcoef.core.computation_rate` evaluates: the
+    unit vectors' forms come from :func:`~cfcoef.core._unit_form` over every
+    row at once; the four quantized candidates of every row go through
     :func:`~cfcoef.core._quadratic_forms` as one ``(m, 4, n)`` array, whose
     dots sum in the same order as the single-channel call.
     """
-    rows = _unit_form(h, P, hnorm2[:, None]).tolist()
-    cands = np.rint(_MULTIPLES * t_raw[:, None, :]).astype(np.int64)
-    forms = _quadratic_forms(h, P, hnorm2, cands.astype(np.float64))
-    for row, form, nonzero in zip(rows, forms.tolist(), cands.any(axis=2).tolist()):
-        row.extend(compress(form, nonzero))
-    return rows
+    cands = np.rint(_MULTIPLES * t_raw[:, None, :])
+    forms = _quadratic_forms(h, P, hnorm2, cands)
+    forms[~cands.any(axis=2)] = np.inf
+    return np.concatenate((_unit_form(h, P, hnorm2[:, None]), forms), axis=1)
 
 
-def _count_beating(denominators: list, best_rate: float) -> int:
-    """Candidates whose rate beats ``best_rate``; the first degenerate one raises."""
-    return sum(_rate(denom) > best_rate + _RATE_SLACK for denom in denominators)
+def _dominance_counts(denominators: np.ndarray, rates: list, errors: list) -> list:
+    """Per row ``i``, the candidates of ``denominators[i]`` whose rate beats
+    ``rates[i] + _RATE_SLACK``; rows with an error in ``errors`` are skipped.
+
+    Only the candidates below ``min(1, 2**(-2*(rate + slack)) * (1 + 2**-20))``,
+    floored at ``2**-1000`` so that it is a normal float, are rated, in row
+    order, so the first degenerate one (a nan or nonpositive form is below
+    any threshold) records its own message in ``errors``.  Proof that no
+    other candidate beats: a form of 1 or more rates 0.0.  A form ``d``
+    below 1 and at or above the threshold has ``-0.5*log2(d)`` at least
+    ``0.5*log2(1 + 2**-20)``, about 7e-7, below ``rate + slack`` (the floor
+    only raises the threshold), and ``exp2``, ``log2`` and the roundings err
+    by far less, about 1e-13 at the largest rates a float form allows.
+    """
+    limits = np.exp2(-2.0 * (np.array(rates) + _RATE_SLACK)) * (1.0 + 2.0**-20)
+    rows, cols = np.nonzero(~(denominators >= np.clip(limits, 2.0**-1000, 1.0)[:, None]))
+    counts = [0] * len(rates)
+    for i, denom in zip(rows.tolist(), denominators[rows, cols].tolist()):
+        if errors[i] is None:
+            try:
+                counts[i] += _rate(denom) > rates[i] + _RATE_SLACK
+            except NumericDegeneracyError as exc:
+                errors[i] = str(exc)
+    return counts
 
 
 def _run_chunk(args) -> list:
     """Trials ``lo..hi-1`` of a run as ``(record, error or None)`` rows.
 
-    Every trial draws its channel from its own ``(seed, trial)`` stream into
-    one ``(m, n)`` array (see :func:`_draw_rows`).  The chunk checks those
-    channels (they skip :class:`ChannelInstance`), builds every canonical row
-    and tests the first unit vector on each, one call apiece.  Per trial, the
-    row steps of ``solve`` and ``list_solve`` search, map back and fill its
-    ``per_trial`` record; ``rate_avg`` adds the dominance count as ``beating``.
+    The chunk draws its channels (see :func:`_draw_rows`), checks them (they
+    skip :class:`ChannelInstance`), builds every canonical row and tests the
+    first unit vector on each, one call apiece.  ``e1_freq`` and
+    ``node_ratio`` cannot raise and fill their ``per_trial`` records
+    directly; ``list`` runs ``list_solve``'s row step per trial; ``solve``
+    and ``rate_avg`` rate the chunk with :func:`_solve_rows`, and
+    ``rate_avg`` adds the dominance count as ``beating``.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
     _check_channels(h)
     t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
-    hnorm2_list = hnorm2.tolist()
-    hits = _e1_optimal(t, f).tolist()
-
-    def row(i):
-        return h[i], P, hnorm2_list[i], t[i], order[i], sign[i], f[i], q[i]
-
+    hits = _e1_optimal(t, f)
+    trials = range(lo, hi)
     if mode == "e1_freq":
-        def fields(i):
-            return {"hit": int(hits[i])}
-    elif mode == "node_ratio":
-        norms = [n * math.sqrt(1.0 + P * x) for x in hnorm2_list]
-
-        def fields(i):
-            nodes = _visited_nodes(t[i], f[i], q[i])
-            return {"nodes": nodes, "ratio": nodes / norms[i]}
-    elif mode == "list":
-        def fields(i):
-            entries = _list_row(*row(i), list_size)
-            return {"length": len(entries), "top_rate": entries[0][1] if entries else 0.0}
-    elif mode == "rate_avg":
-        denominators = _dominance_denominators(h, P, hnorm2, t_raw)
-
-        def fields(i):
-            rate = _solve_row(*row(i), hits[i]).rate
-            return {"rate": rate, "beating": _count_beating(denominators[i], rate)}
+        return [({"trial": j, "hit": hit}, None) for j, hit in zip(trials, hits.astype(int).tolist())]
+    if mode == "node_ratio":
+        nodes = [_visited_nodes(*row) for row in zip(t, f, q)]
+        return [({"trial": j, "nodes": k, "ratio": k / (n * math.sqrt(1.0 + P * x))}, None)
+                for j, k, x in zip(trials, nodes, hnorm2.tolist())]
+    if mode == "list":
+        rows = []
+        for i, (j, x) in enumerate(zip(trials, hnorm2.tolist())):
+            try:
+                entries = _list_row(h[i], P, x, t[i], order[i], sign[i], f[i], q[i], list_size)
+                top = entries[0][1] if entries else 0.0
+                rows.append(({"trial": j, "length": len(entries), "top_rate": top}, None))
+            except NumericDegeneracyError as exc:
+                rows.append(({"trial": j}, str(exc)))
+        return rows
+    rates, nodes, errors = _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits)
+    if mode == "rate_avg":
+        beating = _dominance_counts(_dominance_denominators(h, P, hnorm2, t_raw), rates, errors)
+        fields = [{"rate": rate, "beating": count} for rate, count in zip(rates, beating)]
     else:
-        def fields(i):
-            res = _solve_row(*row(i), hits[i])
-            return {"rate": res.rate, "nodes": res.nodes_visited, "shortcut": int(res.used_shortcut)}
-    rows = []
-    for i, j in enumerate(range(lo, hi)):
-        try:
-            rows.append(({"trial": j, **fields(i)}, None))
-        except NumericDegeneracyError as exc:
-            rows.append(({"trial": j}, str(exc)))
-    return rows
+        fields = [{"rate": rate, "nodes": count, "shortcut": hit}
+                  for rate, count, hit in zip(rates, nodes, hits.astype(int).tolist())]
+    return [({"trial": j}, err) if err is not None else ({"trial": j, **row}, None)
+            for j, row, err in zip(trials, fields, errors)]
 
 
 def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
@@ -367,9 +427,9 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     the reduction is performed in trial order, the ``result`` field is
     identical at any parallelism and chunk size.
 
-    The pool pays a fixed cost to start its workers, about 30 ms of wall
+    The pool pays a fixed cost to start its workers, about 20 ms of wall
     time on a 2-core machine, so small runs finish sooner serially: 1,000
-    ``e1_freq`` trials at n=8 took a median of 7 ms serially and 40 ms on
+    ``e1_freq`` trials at n=8 took a median of 4 ms serially and 22 ms on
     two workers.
 
     Raises

@@ -49,6 +49,11 @@ class TestSampling:
         for f, b in zip(forward, reversed(backward)):
             np.testing.assert_array_equal(f, b)
 
+    @pytest.mark.parametrize("n", [True, 2.5, 0, -1])
+    def test_rejects_unusable_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_channel(n, trial_rng(17, 0))
+
     def test_squared_norm_mean(self):
         # chi-squared with n degrees of freedom has mean n
         total = 0.0
@@ -91,6 +96,19 @@ class TestTrialConfig:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             TrialConfig(**kwargs)
+
+    @pytest.mark.parametrize("snr_db", ["10", None, True, False, 1j])
+    def test_snr_must_be_a_real_number(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be a real number"):
+            TrialConfig(mode="solve", n=2, snr_db=snr_db, trials=1, seed=0)
+
+    @pytest.mark.parametrize("list_size", [0, -5])
+    @pytest.mark.parametrize("mode", ["solve", "list", "e1_freq", "node_ratio", "rate_avg"])
+    def test_list_size_below_one_is_rejected_in_every_mode(self, mode, list_size):
+        with pytest.raises(ValueError, match="list_size"):
+            TrialConfig(mode=mode, n=4, snr_db=0.0, trials=3, seed=0, list_size=list_size)
+        if mode != "list":
+            assert TrialConfig(mode=mode, n=4, snr_db=0.0, trials=3, seed=0).list_size is None
 
     def test_numpy_integers_accepted(self):
         cfg = TrialConfig(mode="list", n=np.int64(4), snr_db=0.0, trials=np.int32(10),
@@ -149,19 +167,18 @@ class TestRunTrials:
         assert report.per_trial[0]["trial"] == 0
 
     def test_degenerate_trials_are_recorded(self, monkeypatch):
-        # the failure is injected into the solve step each trial runs
-        real = bench._solve_row
-        trial_3 = sample_channel(4, trial_rng(7, 3))
-
-        def flaky(h, *rest):
-            if np.array_equal(h, trial_3):
-                raise NumericDegeneracyError("synthetic failure")
-            return real(h, *rest)
-
-        monkeypatch.setattr(bench, "_solve_row", flaky)
-        cfg = TrialConfig(mode="rate_avg", n=4, snr_db=0.0, trials=10, seed=7)
-        report = run_trials(cfg)
-        assert report.result["degenerate_trials"] == [3]
+        # WIDE_H's optimum has an entry beyond int64 at 10 dB: its trial
+        # records the error solve raises, and the other trials are rated
+        with pytest.raises(NumericDegeneracyError, match="int64") as first:
+            solve(ChannelInstance(h=WIDE_H, P=10.0))
+        for mode in ("rate_avg", "solve"):
+            cfg = TrialConfig(mode=mode, n=5, snr_db=10.0, trials=10, seed=7)
+            self._replace_trial(monkeypatch, cfg, 3, WIDE_H)
+            report = run_trials(cfg, keep_per_trial=True)
+            assert report.result["degenerate_trials"] == [3]
+            assert [row["trial"] for row in report.per_trial] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+            rows = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
+            assert rows[3] == ({"trial": 3}, str(first.value))
 
     @staticmethod
     def _replace_trial(monkeypatch, cfg, trial, h):
@@ -268,13 +285,20 @@ class _InlinePool:
 
 def _assert_same_rates(h, P):
     """``_rate`` of each chunk denominator of the rows ``h`` is the
-    ``computation_rate`` of its candidate, or both raise the same error."""
+    ``computation_rate`` of its candidate, or both raise the same error; a
+    zero quantized candidate's denominator is ``+inf``."""
     t_raw, hnorm2 = _scale_rows(h, P)
-    for row, denominators in zip(h, bench._dominance_denominators(h, P, hnorm2, t_raw)):
+    denominators = bench._dominance_denominators(h, P, hnorm2, t_raw)
+    n = h.shape[1]
+    assert denominators.shape == (len(h), n + 4)
+    for row, t_row, forms in zip(h, t_raw, denominators.tolist()):
+        zero = [not np.rint(c * t_row).any() for c in range(1, 5)]
+        assert [form == math.inf for form in forms[n:]] == zero
         ch = ChannelInstance(h=row, P=P)
         candidates = dominance_candidates(ch)
-        assert len(denominators) == len(candidates)
-        for denom, a in zip(denominators, candidates):
+        kept = [form for form, is_zero in zip(forms, [False] * n + zero) if not is_zero]
+        assert len(kept) == len(candidates)
+        for denom, a in zip(kept, candidates):
             try:
                 rate = computation_rate(ch, a)
             except NumericDegeneracyError as exc:
@@ -421,6 +445,82 @@ class TestDominanceDenominators:
         _assert_same_rates(h, 1.0)
 
 
+def _ulps(x, k):
+    """``x`` and its ``k`` nearest floats on either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = float(np.nextafter(lo, 0.0)), float(np.nextafter(hi, math.inf))
+        out += [lo, hi]
+    return out
+
+
+class TestDominanceCounts:
+    """``_dominance_counts`` decides most rows from a form threshold; every
+    count and error must be those of the scalar ``_rate`` test on each
+    candidate in order."""
+
+    @staticmethod
+    def _assert_counts(rows, rates):
+        width = max(map(len, rows))
+        denominators = np.array([row + [math.inf] * (width - len(row)) for row in rows])
+        errors = [None] * len(rows)
+        counts = bench._dominance_counts(denominators, list(rates), errors)
+        for row, rate, count, err in zip(rows, rates, counts, errors):
+            try:
+                expected = sum(bench._rate(d) > rate + 1e-9 for d in row)
+            except NumericDegeneracyError as exc:
+                assert err == str(exc)
+            else:
+                assert (count, err) == (expected, None)
+        return counts
+
+    def test_candidates_around_the_threshold(self, monkeypatch):
+        rows, rates = [], []
+        for rate in (0.0, 1e-12, 0.3, 1.7, 12.5, 300.0, 510.0, 530.0):
+            beat = 2.0 ** (-2 * (rate + 1e-9))
+            # the threshold, the forms whose rate is rate + 1e-9, and 1
+            for centre in (min(1.0, beat * (1 + 2.0**-20)), beat, 1.0):
+                rows.append(_ulps(centre, 4))
+                rates.append(rate)
+        counts = self._assert_counts(rows, rates)
+        assert any(counts) and not all(counts)
+        # only the candidates below the threshold take a _rate call
+        rate = 1.7
+        limit = 2.0 ** (-2 * (rate + 1e-9)) * (1 + 2.0**-20)
+        rated = []
+        monkeypatch.setattr(bench, "_rate", lambda denom: rated.append(denom) or 0.0)
+        counts = bench._dominance_counts(np.array([[limit, 2.0, limit / 2, math.inf]]), [rate], [None])
+        assert counts == [0] and rated == [limit / 2]
+
+    def test_subnormal_threshold(self):
+        # 2**(-2*(rate + 1e-9)) is 16383.4 steps of the smallest subnormal,
+        # and times (1 + 2**-20) rounds down to the form d of 16383 steps, whose
+        # rate beats: the threshold's floor sends the row to the scalar test
+        d = 16383 * 5e-324
+        rate = -0.5 * (math.log2(16383.4) - 1074) - 1e-9
+        assert 2.0 ** (-2 * (rate + 1e-9)) * (1 + 2.0**-20) == d
+        assert self._assert_counts([[d, 1.0]], [rate]) == [1]
+
+    def test_degenerate_and_infinite_candidates(self):
+        rate = 0.8
+        beating = 2.0 ** (-2 * rate) / 2
+        rows = [
+            [beating, 0.0, beating],  # counts one, then raises on 0.0
+            [0.5, -1.0],
+            [math.nan, beating],
+            [math.inf] * 6,
+            [beating, math.inf, beating],
+        ]
+        counts = self._assert_counts(rows, [rate] * len(rows))
+        assert counts[3:] == [0, 2]
+
+    def test_rows_with_an_error_are_skipped(self):
+        denominators = np.array([[0.0, 0.1], [0.1, 0.2]])
+        errors = ["int64", None]
+        assert bench._dominance_counts(denominators, [math.nan, 0.0], errors) == [0, 2]
+        assert errors == ["int64", None]
+
+
 _EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
 
 # chunks at the start, in the middle, and across the two-word trial index 2**32
@@ -455,6 +555,20 @@ class TestChunkDrawer:
             words = bench._seed_words(seed, lo, hi)
             assert words.dtype == np.uint64
             np.testing.assert_array_equal(words, _public_seed_words(seed, lo, hi))
+
+    def test_seed_words_answer_pcg64_alone(self):
+        words = np.ascontiguousarray(bench._seed_words(3, 0, 2))
+        seq = bench._SeedWords(words[1])
+        np.testing.assert_array_equal(seq.generate_state(4, np.uint64), words[1])
+        drawn = np.random.Generator(np.random.PCG64(seq)).standard_normal(5)
+        np.testing.assert_array_equal(drawn, sample_channel(5, trial_rng(3, 1)))
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64)):
+            with pytest.raises(ValueError, match="4 uint64 seed words"):
+                seq.generate_state(n_words, dtype)
+        with pytest.raises(ValueError, match="4 uint64 seed words"):
+            seq.generate_state(4)
+        with pytest.raises(ValueError, match="4 uint64 seed words"):
+            np.random.MT19937(seq)
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**33 - 1), st.integers(1, 5))
@@ -684,6 +798,13 @@ class TestCli:
         argv = ["bench", "--mode", "e1_freq", "--n", "2", "--snr-db", "0", "--trials", "3"]
         assert main(argv + [f"--parallel={parallel}"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unusable_list_size_is_an_error(self, capsys):
+        argv = ["bench", "--mode", "e1_freq", "--n", "4", "--snr-db", "1", "--trials", "3", "--l", "-5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: list_size must be at least 1")
 
     def test_missing_channel_is_an_error(self):
         with pytest.raises(SystemExit):
