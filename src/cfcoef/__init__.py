@@ -24,7 +24,6 @@ from .core import (
     NumericDegeneracyError,
     ScaledChannel,
     SignedPermutation,
-    canonicalize,
     cholesky_factor,
     computation_rate,
     e1_is_optimal,
@@ -57,7 +56,6 @@ __all__ = [
     "ScaledChannel",
     "NumericDegeneracyError",
     "scale_channel",
-    "canonicalize",
     "restore",
     "cholesky_factor",
     "computation_rate",

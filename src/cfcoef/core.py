@@ -10,9 +10,9 @@ only ever needs two derived vectors:
 * ``f[i] = 1 - sum(t[:i]**2)``, the cumulative tail mass, and
 * ``q[k] = f[k+1] / f[k]``, the squared diagonal of the factor.
 
-One builder forms those quantities from tail sums of the sorted channel
-rather than by repeated subtraction, and canonicalizes ``t`` into sorted
-nonnegative form through a signed permutation.  The module also provides
+One builder forms those quantities from ``(h, P)``, by tail sums of the
+sorted channel rather than by repeated subtraction, and brings ``t`` into
+sorted nonnegative form through a signed permutation.  The module also provides
 the rate formula plus the O(n) optimality shortcut for the first unit vector.
 """
 
@@ -30,7 +30,6 @@ __all__ = [
     "ScaledChannel",
     "NumericDegeneracyError",
     "scale_channel",
-    "canonicalize",
     "restore",
     "cholesky_factor",
     "computation_rate",
@@ -65,15 +64,24 @@ def _holds_bool(x) -> bool:
 
 
 def _as_vector(x, name: str) -> np.ndarray:
-    """``x`` as a nonempty 1-D float vector; its values are checked by the caller."""
-    v = np.asarray(x, dtype=np.float64)
+    """``x`` as a nonempty 1-D float vector; its values are checked by the caller.
+
+    Complex, boolean and string entries are rejected before the float cast,
+    which would drop an imaginary part, read a bool as 0 or 1, or parse a
+    numeric string.
+    """
+    v = np.asarray(x)
+    if v.dtype.kind in "cSU" or _holds_bool(x):
+        raise ValueError(f"{name} must hold real numbers, not complex, boolean or string entries")
+    v = v.astype(np.float64, copy=False)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D real vector")
     return v
 
 
-# The invariant checks below run along the last axis, so a constructor checks
-# its one vector and ``run_trials`` checks a whole chunk's channels in one call.
+# The invariant checks below run along the last axis.  A constructor checks its
+# one vector; only ``_check_channels`` still runs on a whole chunk, the
+# channels that ``run_trials`` draws.
 
 
 def _check_finite(v: np.ndarray, name: str) -> None:
@@ -123,6 +131,8 @@ class ChannelInstance:
     def __post_init__(self):
         h = _as_vector(self.h, "h")
         _check_channels(h)
+        if not isinstance(self.P, numbers.Real) or isinstance(self.P, bool):
+            raise ValueError(f"P must be a real number, got {self.P!r}")
         P = float(self.P)
         if not math.isfinite(P) or P <= 0.0:
             raise ValueError(f"P must be positive and finite, got {P!r}")
@@ -225,45 +235,8 @@ class ScaledChannel:
             overflows as the tail sums add it: a few ulps from the float
             limit, their order can overflow where ``||h||**2``'s did not.
         """
-        return _first_row(*_channel_rows(ch.h[None], ch.P)[2:])
-
-
-def _first_row(t, order, sign, f, q) -> ScaledChannel:
-    """The validated :class:`ScaledChannel` of row 0 of :func:`_build`'s rows."""
-    return ScaledChannel(t=t[0], perm=SignedPermutation(perm=order[0], sign=sign[0]), f=f[0], q=q[0])
-
-
-def _build(t_raw: np.ndarray, x: np.ndarray, tail_mass) -> tuple:
-    """Canonical form of each row of ``t_raw``, shape ``(m, n)``, unvalidated.
-
-    Returns the rows ``(t, order, sign, f, q)``: ``order`` and ``sign`` are
-    the :class:`SignedPermutation` fields.  ``tail_mass`` maps the tail sums
-    of the reordered squares of ``x`` (``t_raw`` or ``h``) to a multiple of
-    ``f``.  Each row is bit-identical to building it alone.  Its order is the
-    stable sort's: a row with no two equal magnitudes has exactly one sorted
-    order, which numpy's faster default sort returns too, and a chunk with a
-    tie anywhere (zeros, ``+-0.0`` and opposite-sign copies included) is
-    sorted again with ``kind="stable"``.  The gathers use one flat index, and
-    ``cumsum`` adds along a row in sequence.
-    """
-    m, n = t_raw.shape
-    key = -np.abs(t_raw)
-    order, flat, sign, t = _sort_rows(t_raw, key, None)
-    if np.count_nonzero(t[:, :-1] == t[:, 1:]):
-        order, flat, sign, t = _sort_rows(t_raw, key, "stable")
-    suffix = np.zeros((m, n + 1))
-    suffix[:, :-1] = np.cumsum(np.square(x.take(flat))[:, ::-1], axis=1)[:, ::-1]
-    num = tail_mass(suffix)
-    # num[:, -1] is 1 - ||t_raw||^2 up to a positive factor; testing it before
-    # the divisions keeps a norm-one input from reaching a 0/0
-    if not np.all(num[:, -1] > 0.0):
-        raise ValueError("||t_raw|| must be strictly less than 1")
-    # Rounding is monotone, so the cumsum of nonnegative terms, the increasing
-    # affine map and the division by num[:, 0] keep num and f nonincreasing:
-    # f[:, 0] is exactly 1 and every q is at most 1 (tests/test_properties.py checks both).
-    f = num / num[:, :1]
-    q = num[:, 1:] / num[:, :-1]
-    return t, order, sign, f, q
+        t, order, sign, f, q = _channel_rows(ch.h[None], ch.P)[2:]
+        return cls(t=t[0], perm=SignedPermutation(perm=order[0], sign=sign[0]), f=f[0], q=q[0])
 
 
 def _sort_rows(t_raw: np.ndarray, key: np.ndarray, kind) -> tuple:
@@ -308,10 +281,18 @@ def _scale_rows(h: np.ndarray, P: float) -> tuple:
 
 
 def _channel_rows(h: np.ndarray, P: float) -> tuple:
-    """:meth:`ScaledChannel.from_channel` for each channel row of ``h``.
+    """:meth:`ScaledChannel.from_channel` for each channel row of ``h``, shape ``(m, n)``.
 
     Returns ``(t_raw, hnorm2, t, order, sign, f, q)``: :func:`_scale_rows`,
-    then :func:`_build`'s rows with ``f`` formed from the tail sums of ``h``.
+    then the canonical rows, unvalidated; ``order`` and ``sign`` are the
+    :class:`SignedPermutation` fields and ``f`` is formed from the tail sums of
+    ``h``.  Each row is bit-identical to building it alone.  Its order is the
+    stable sort's: a row with no two equal magnitudes has exactly one sorted
+    order, which numpy's faster default sort returns too, and a chunk with a
+    tie anywhere (zeros, ``+-0.0`` and opposite-sign copies included) is
+    sorted again with ``kind="stable"``.  The gathers use one flat index, and
+    ``cumsum`` adds along a row in sequence.
+
     ``h`` and ``P`` were already checked (by :class:`ChannelInstance`, or ``h``
     by ``_check_channels`` in a trial chunk), so one test is left.  The tail
     sums add in another order than ``||h||^2``, so near the float limit
@@ -323,8 +304,21 @@ def _channel_rows(h: np.ndarray, P: float) -> tuple:
     ``tests/test_properties.py`` checks edge-case chunks.
     """
     t_raw, hnorm2 = _scale_rows(h, P)
+    m, n = h.shape
+    key = -np.abs(t_raw)
+    order, flat, sign, t = _sort_rows(t_raw, key, None)
+    if np.count_nonzero(t[:, :-1] == t[:, 1:]):
+        order, flat, sign, t = _sort_rows(t_raw, key, "stable")
+    # num[:, i] is 1 + P * sum(h'[i:]**2), with an empty tail (sum 0.0) last
+    num = np.ones((m, n + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        t, order, sign, f, q = _build(t_raw, h, lambda suffix: 1.0 + P * suffix)
+        num[:, :-1] += P * np.cumsum(np.square(h.take(flat))[:, ::-1], axis=1)[:, ::-1]
+        # Rounding is monotone, so the cumsum of nonnegative terms, the
+        # increasing affine map and the division by num[:, 0] keep num and f
+        # nonincreasing: f[:, 0] is exactly 1 and every q is at most 1
+        # (tests/test_properties.py checks both).
+        f = num / num[:, :1]
+        q = num[:, 1:] / num[:, :-1]
     # f[:, -1] is 1 / (1 + P * tail total): positive exactly when that total is finite
     if not (f[:, -1] > 0.0).all():
         raise ValueError(_OVERFLOW)
@@ -338,21 +332,6 @@ def scale_channel(ch: ChannelInstance) -> np.ndarray:
     ``||t_raw|| < 1``.  ``ValueError`` if ``P * ||h||^2`` is not finite.
     """
     return _scale_rows(ch.h[None], ch.P)[0][0]
-
-
-def canonicalize(t_raw) -> ScaledChannel:
-    """Sort a scaled channel into canonical nonnegative nonincreasing form.
-
-    Accepts any vector with ``||t_raw|| < 1`` (entries strictly inside the
-    unit interval in magnitude) and records the signed permutation that
-    produced the canonical ordering, so solutions can be mapped back with
-    :func:`restore`.
-    """
-    t_raw = _as_vector(t_raw, "t_raw")
-    _check_finite(t_raw, "t_raw")
-    if np.any(np.abs(t_raw) >= 1.0):
-        raise ValueError("every entry of t_raw must satisfy |t_i| < 1")
-    return _first_row(*_build(t_raw[None], t_raw[None], lambda suffix: (1.0 - suffix[:, :1]) + suffix))
 
 
 def restore(perm: SignedPermutation, a) -> np.ndarray:

@@ -169,7 +169,7 @@ def _list_row(h, P, hnorm2, t, order, sign, f, q, L: int) -> list:
 
 
 def list_solve(ch: ChannelInstance, L: int):
-    """List pipeline: canonicalize, enumerate, map back, attach rates.
+    """List pipeline: build the canonical rows, enumerate, map back, attach rates.
 
     Returns a list of ``(a, rate)`` pairs in original coordinates with
     nonincreasing rates; may be shorter than ``L`` when fewer vectors have

@@ -432,7 +432,7 @@ def baseline_search(R) -> SearchResult:
 
 
 def solve(ch: ChannelInstance, use_shortcut: bool = True) -> SolveResult:
-    """Full pipeline: scale, canonicalize, search, map back, compute the rate.
+    """Full pipeline: scale, sort into canonical form, search, map back, compute the rate.
 
     The rows are built as :func:`~cfcoef.bench.run_trials` builds a chunk's,
     and ``rate`` is the :func:`~cfcoef.core.computation_rate` float of ``a``.

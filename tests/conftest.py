@@ -8,6 +8,7 @@ import pytest
 from cfcoef import (
     ChannelInstance,
     ScaledChannel,
+    SignedPermutation,
     computation_rate,
     scale_channel,
     svp_box_bound,
@@ -29,6 +30,22 @@ WIDE_H = [
 
 def make_channel(rng: np.random.Generator, n: int, P: float) -> ChannelInstance:
     return ChannelInstance(h=rng.standard_normal(n), P=P)
+
+
+def scaled_from_t(t_raw) -> ScaledChannel:
+    """The :class:`ScaledChannel` of a hand-made scaled vector ``t_raw`` with
+    ``||t_raw|| < 1``, formed here from the definitions so that it shares no
+    code with the library's builder: the stable sort on ``-|t_raw|``, the
+    signs that make the sorted vector nonnegative (+1 for a zero),
+    ``f[i] = 1 - sum(t[:i]**2)`` and ``q[k] = f[k+1] / f[k]``.  The public
+    constructors validate the result."""
+    t_raw = np.asarray(t_raw, dtype=np.float64)
+    order = np.argsort(-np.abs(t_raw), kind="stable")
+    sign = np.where(t_raw[order] < 0.0, -1, 1)
+    t = sign * t_raw[order]
+    f = np.concatenate(([1.0], 1.0 - np.cumsum(t * t)))
+    q = f[1:] / f[:-1]
+    return ScaledChannel(t=t, perm=SignedPermutation(perm=order, sign=sign), f=f, q=q)
 
 
 def feasible_instance(

@@ -12,7 +12,7 @@ from cfcoef import (
     NumericDegeneracyError,
     ScaledChannel,
     SignedPermutation,
-    canonicalize,
+    brute_force_svp,
     cholesky_factor,
     computation_rate,
     e1_is_optimal,
@@ -23,7 +23,7 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef.core import _channel_rows, _row_dots
-from conftest import FLOAT_LIMIT_H, make_channel
+from conftest import FLOAT_LIMIT_H, make_channel, scaled_from_t
 
 
 def brute_force_box(t, B):
@@ -45,10 +45,14 @@ class TestChannelInstance:
         with pytest.raises(ValueError):
             ChannelInstance(h=[0.0, 0.0], P=1.0)
 
-    @pytest.mark.parametrize("P", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("P", [0.0, -1.0, math.inf, math.nan, True, "10", None])
     def test_rejects_bad_power(self, P):
         with pytest.raises(ValueError):
             ChannelInstance(h=[1.0], P=P)
+
+    @pytest.mark.parametrize("P", [10, np.float32(2.5), np.int64(3), 0.5])
+    def test_accepts_real_power(self, P):
+        assert ChannelInstance(h=[1.0], P=P).P == float(P)
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):
@@ -64,7 +68,7 @@ class TestChannelInstance:
         assert h.flags.writeable
         h[0] = 5.0
         assert ch.h.tolist() == [0.8, -1.4, 0.3]
-        good = canonicalize([0.5, 0.4])
+        good = scaled_from_t([0.5, 0.4])
         t = good.t.copy()
         sc = ScaledChannel(t=t, perm=good.perm, f=good.f, q=good.q)
         t[0] = 0.45
@@ -113,36 +117,33 @@ class TestScaleChannel:
 
 class TestCanonicalize:
     def test_orders_by_magnitude_with_signs(self):
-        sc = canonicalize([-0.3, 0.9, -0.1])
-        assert sc.t == pytest.approx([0.9, 0.3, 0.1])
+        sc = ScaledChannel.from_channel(ChannelInstance(h=[-0.3, 0.9, -0.1], P=1.0))
+        assert sc.t == pytest.approx(np.array([0.9, 0.3, 0.1]) / math.sqrt(1.91))
         assert sc.perm.perm.tolist() == [1, 0, 2]
         assert sc.perm.sign.tolist() == [1, -1, -1]
 
     def test_tie_break_is_stable(self):
-        sc = canonicalize([0.5, 0.5])
+        sc = ScaledChannel.from_channel(ChannelInstance(h=[0.5, 0.5], P=1.0))
         assert sc.perm.perm.tolist() == [0, 1]
         assert sc.perm.sign.tolist() == [1, 1]
 
     def test_tail_quantities(self):
-        sc = canonicalize([0.8, 0.4])
+        # at P = 0.8 the channel (2, 1) scales to t = (0.8, 0.4)
+        sc = ScaledChannel.from_channel(ChannelInstance(h=[2.0, 1.0], P=0.8))
         assert sc.f == pytest.approx([1.0, 0.36, 0.2], rel=1e-12)
         assert sc.q == pytest.approx([0.36, 5.0 / 9.0], rel=1e-12)
         assert float(sc.t @ sc.t) == pytest.approx(0.8)
 
     def test_zero_entry_gets_positive_sign(self):
-        sc = canonicalize([0.5, 0.0])
+        sc = ScaledChannel.from_channel(ChannelInstance(h=[0.5, 0.0], P=1.0))
         assert sc.perm.sign.tolist() == [1, 1]
 
-    @pytest.mark.parametrize("bad", [[1.0, 0.0], [0.8, 0.7], [1.2], [0.8, 0.6, 0.0]])
-    def test_rejects_out_of_domain(self, bad):
-        with pytest.raises(ValueError):
-            canonicalize(bad)
-
     def test_matches_channel_construction(self, rng):
+        # the builder's tail-sum f against 1 - cumsum(t**2) formed in test code
         for _ in range(50):
             n = int(rng.integers(1, 12))
             ch = make_channel(rng, n, float(rng.choice([1.0, 10.0, 100.0])))
-            via_t = canonicalize(scale_channel(ch))
+            via_t = scaled_from_t(scale_channel(ch))
             via_ch = ScaledChannel.from_channel(ch)
             np.testing.assert_array_equal(via_t.t, via_ch.t)
             np.testing.assert_allclose(via_t.f, via_ch.f, rtol=1e-12)
@@ -155,14 +156,6 @@ class TestCanonicalize:
         assert sc.f[-1] == pytest.approx(1.0 / (1.0 + ch.P * 1.25), rel=1e-9)
         assert np.all(np.diff(sc.f) <= 0.0)
         assert np.all(sc.q > 0.0)
-
-    def test_raw_route_rejects_rounded_to_one(self):
-        # at this SNR the scaled entry rounds to exactly 1.0
-        ch = ChannelInstance(h=[1.0, 0.0], P=1e18)
-        sc = ScaledChannel.from_channel(ch)
-        assert sc.f[-1] > 0.0
-        with pytest.raises(ValueError):
-            canonicalize(scale_channel(ch))
 
 
 def _tied_chunk(n, seed):
@@ -225,11 +218,22 @@ PINNED_FROM_CHANNEL = [  # (n, snr_db, crcs) for sample_channel(n, trial_rng(13,
     (1000, 100, (1747813639, 3308738110, 4246596552, 2657097473, 3376269607)),
 ]
 
-PINNED_CANONICALIZE = [  # (t_raw, crcs)
-    ([-0.3, 0.9, -0.1], (301224762, 3665600763, 3249744763, 1623304314, 4058784328)),
-    ([0.5, 0.5], (3267991542, 102218988, 4199994049, 538004427, 2390350426)),
-    ([0.8, 0.4], (2566932097, 375486778, 3540316826, 538004427, 2390350426)),
-    ([0.5, 0.0], (718358823, 3469620964, 2614936915, 538004427, 2390350426)),
+# Tied magnitudes take the builder's stable-sort redo: CI's integer channel,
+# zeros of both signs, opposite-sign copies, and round(3 * g) of the Gaussian
+# sample_channel(7, trial_rng(13, 1)).
+PINNED_TIED = [  # (h, snr_db, crcs)
+    ([2.0, -2.0, 0.0, 0.0, 1.0], 0, (3822145443, 2601563263, 1004000030, 2015331524, 1010137498)),
+    ([2.0, -2.0, 0.0, 0.0, 1.0], 20, (218498803, 2450330334, 367638319, 2015331524, 1010137498)),
+    ([2.0, -2.0, 0.0, 0.0, 1.0], 40, (782706257, 3219915127, 951712926, 2015331524, 1010137498)),
+    ([0.0, -0.0, 1.5, -0.0, 0.7], 0, (116794752, 1846919885, 3245063080, 1031377702, 1419075188)),
+    ([0.0, -0.0, 1.5, -0.0, 0.7], 20, (152962312, 3152178831, 1801848257, 1031377702, 1419075188)),
+    ([0.0, -0.0, 1.5, -0.0, 0.7], 40, (4004129729, 3618380795, 563372408, 1031377702, 1419075188)),
+    ([0.8, -1.4, 0.3, -0.8, 1.4, -0.3], 0, (1167527109, 1613319485, 1125202124, 2296815289, 2610966968)),
+    ([0.8, -1.4, 0.3, -0.8, 1.4, -0.3], 20, (1671701801, 926265812, 2860047229, 2296815289, 2610966968)),
+    ([0.8, -1.4, 0.3, -0.8, 1.4, -0.3], 40, (1085518073, 3497954100, 2726077405, 2296815289, 2610966968)),
+    ([1.0, -0.0, -5.0, 2.0, -0.0, 3.0, 3.0], 0, (2035352059, 4165393782, 1359132153, 2513447823, 1289978025)),
+    ([1.0, -0.0, -5.0, 2.0, -0.0, 3.0, 3.0], 20, (3789244615, 1930159386, 2921881844, 2513447823, 1289978025)),
+    ([1.0, -0.0, -5.0, 2.0, -0.0, 3.0, 3.0], 40, (2381421672, 3417439565, 1095852429, 2513447823, 1289978025)),
 ]
 
 
@@ -246,14 +250,15 @@ class TestPinnedConstruction:
         sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
         assert _construction_crcs(sc) == crcs
 
-    @pytest.mark.parametrize("t_raw, crcs", PINNED_CANONICALIZE)
-    def test_canonicalize(self, t_raw, crcs):
-        assert _construction_crcs(canonicalize(t_raw)) == crcs
+    @pytest.mark.parametrize("h, snr_db, crcs", PINNED_TIED)
+    def test_tied_channel(self, h, snr_db, crcs):
+        sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=10.0 ** (snr_db / 10.0)))
+        assert _construction_crcs(sc) == crcs
 
 
 class TestRestore:
     def test_sign_bookkeeping(self):
-        sc = canonicalize([-0.3, 0.9, -0.1])
+        sc = scaled_from_t([-0.3, 0.9, -0.1])
         a = restore(sc.perm, [1, 1, 0])
         assert a.tolist() == [-1, 1, 0]
         t_raw = np.array([-0.3, 0.9, -0.1])
@@ -272,7 +277,7 @@ class TestRestore:
     def test_round_trip(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 10))
-            sc = canonicalize(0.9 * rng.uniform(-1, 1, n) / math.sqrt(n))
+            sc = scaled_from_t(0.9 * rng.uniform(-1, 1, n) / math.sqrt(n))
             a = rng.integers(-5, 6, n)
             np.testing.assert_array_equal(restore(sc.perm, sc.perm.sign * a[sc.perm.perm]), a)
 
@@ -280,7 +285,7 @@ class TestRestore:
         for _ in range(100):
             n = int(rng.integers(2, 8))
             t_raw = 0.9 * rng.uniform(-1, 1, n) / math.sqrt(n)
-            sc = canonicalize(t_raw)
+            sc = scaled_from_t(t_raw)
             a_c = rng.integers(-4, 5, n)
             a = restore(sc.perm, a_c)
             obj_orig = float(a @ a) - float(np.asarray(t_raw) @ a) ** 2
@@ -288,18 +293,18 @@ class TestRestore:
             assert obj_orig == pytest.approx(obj_canon, rel=1e-12, abs=1e-12)
 
     def test_length_mismatch(self):
-        sc = canonicalize([0.5, 0.2])
+        sc = scaled_from_t([0.5, 0.2])
         with pytest.raises(ValueError):
             restore(sc.perm, [1, 0, 0])
 
 
 class TestCholeskyFactor:
     def test_decoupled_channel(self):
-        R = cholesky_factor(canonicalize([math.sqrt(3.0) / 2.0, 0.0]))
+        R = cholesky_factor(scaled_from_t([math.sqrt(3.0) / 2.0, 0.0]))
         np.testing.assert_allclose(R, [[0.5, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_worked_two_dim(self):
-        R = cholesky_factor(canonicalize([0.8, 0.4]))
+        R = cholesky_factor(scaled_from_t([0.8, 0.4]))
         expected = [[0.6, -8.0 / 15.0], [0.0, math.sqrt(5.0) / 3.0]]
         np.testing.assert_allclose(R, expected, rtol=1e-12)
 
@@ -455,7 +460,7 @@ class TestRowDots:
 
 class TestUnitVectorShortcut:
     def test_holds_and_is_confirmed_by_enumeration(self):
-        sc = canonicalize([0.8, 0.4])
+        sc = scaled_from_t([0.8, 0.4])
         assert e1_is_optimal(sc)
         best, best_obj = brute_force_box(sc.t, 3)
         assert best_obj == pytest.approx(float(sc.q[0]), rel=1e-12)
@@ -463,11 +468,11 @@ class TestUnitVectorShortcut:
 
     def test_fails_by_arithmetic(self):
         # 0.65^2 = 0.4225 > 0.5625 * 0.4375 = 0.2461
-        assert not e1_is_optimal(canonicalize([0.75, 0.65]))
+        assert not e1_is_optimal(scaled_from_t([0.75, 0.65]))
 
     def test_single_active_coordinate(self, rng):
         for t1 in rng.uniform(0.05, 0.95, 10):
-            sc = canonicalize([float(t1), 0.0, 0.0])
+            sc = scaled_from_t([float(t1), 0.0, 0.0])
             assert e1_is_optimal(sc)
 
     def test_shortcut_never_contradicts_enumeration(self, rng):
@@ -481,10 +486,10 @@ class TestUnitVectorShortcut:
 
 class TestObjectiveLowerBound:
     def test_worked_example(self):
-        assert objective_lower_bound(canonicalize([0.8, 0.4])) == pytest.approx(0.6, rel=1e-12)
+        assert objective_lower_bound(scaled_from_t([0.8, 0.4])) == pytest.approx(0.6, rel=1e-12)
 
     def test_single_coordinate(self):
-        sc = canonicalize([0.7, 0.0, 0.0])
+        sc = scaled_from_t([0.7, 0.0, 0.0])
         assert objective_lower_bound(sc) == pytest.approx(math.sqrt(1.0 - 0.49), rel=1e-12)
 
     def test_dominates_global_norm_bound(self, rng):
@@ -494,8 +499,6 @@ class TestObjectiveLowerBound:
             assert objective_lower_bound(sc) >= math.sqrt(1.0 - float(sc.t @ sc.t)) - 1e-12
 
     def test_bound_below_optimum_thousand_instances(self, rng):
-        from cfcoef import brute_force_svp
-
         for _ in range(1000):
             n = int(rng.integers(2, 4))
             sc = ScaledChannel.from_channel(make_channel(rng, n, float(rng.choice([1.0, 10.0]))))
@@ -541,17 +544,17 @@ class TestTypeValidation:
         assert sp.perm.tolist() == [1, 0] and sp.sign.tolist() == [-1, 1]
 
     def test_scaled_channel_requires_sorted_t(self):
-        good = canonicalize([0.5, 0.4])
+        good = scaled_from_t([0.5, 0.4])
         with pytest.raises(ValueError):
             ScaledChannel(t=[0.4, 0.5], perm=good.perm, f=good.f, q=good.q)
 
     def test_scaled_channel_requires_positive_f(self):
-        good = canonicalize([0.5, 0.4])
+        good = scaled_from_t([0.5, 0.4])
         with pytest.raises(ValueError):
             ScaledChannel(t=good.t, perm=good.perm, f=[1.0, 0.75, 0.0], q=good.q)
 
     def test_scaled_channel_requires_unit_interval_q(self):
-        good = canonicalize([0.5, 0.4])
+        good = scaled_from_t([0.5, 0.4])
         with pytest.raises(ValueError):
             ScaledChannel(t=good.t, perm=good.perm, f=good.f, q=[0.75, 1.5])
 
@@ -561,18 +564,29 @@ class TestTypeValidation:
     ])
     def test_scaled_channel_rejects_nonfinite_entries(self, field, index, value):
         # only t has a finiteness test; the bounds on f and q reject the rest
-        good = canonicalize([0.5, 0.4, 0.3])
+        good = scaled_from_t([0.5, 0.4, 0.3])
         fields = {"t": good.t.copy(), "f": good.f.copy(), "q": good.q.copy()}
         fields[field][index] = value
         match = "t must contain only finite values" if field == "t" else None
         with pytest.raises(ValueError, match=match):
             ScaledChannel(perm=good.perm, **fields)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_canonicalize_rejects_nonfinite_entries(self, value):
-        with pytest.raises(ValueError, match="t_raw must contain only finite values"):
-            canonicalize([0.5, value])
+    @pytest.mark.parametrize("x", [
+        np.array([1 + 2j, 3.0]), [1 + 2j, 3.0], [0.5 + 0j, 0.25], [True, False],
+        np.array([True, False]), [0.5, np.bool_(True)], ["1", "2"], np.array(["0.5", "0.25"]),
+    ])
+    def test_vectors_reject_non_real_entries(self, x):
+        # the float cast would drop an imaginary part, read a bool as 0 or 1,
+        # or parse a string; every entry point rejects them instead
+        good = scaled_from_t([0.5, 0.4])
+        match = "must hold real numbers"
+        with pytest.raises(ValueError, match=match):
+            ChannelInstance(h=x, P=1.0)
+        with pytest.raises(ValueError, match=match):
+            ScaledChannel(t=x, perm=good.perm, f=good.f, q=good.q)
+        with pytest.raises(ValueError, match=match):
+            brute_force_svp(x)
 
     def test_single_coordinate_factor(self):
-        R = cholesky_factor(canonicalize([0.6]))
+        R = cholesky_factor(scaled_from_t([0.6]))
         np.testing.assert_allclose(R, [[0.8]], rtol=1e-12)

@@ -10,7 +10,6 @@ from cfcoef import (
     NumericDegeneracyError,
     ScaledChannel,
     brute_force_topl,
-    canonicalize,
     computation_rate,
     list_search,
     list_solve,
@@ -22,7 +21,7 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef import listsearch
-from conftest import WIDE_H, make_channel, same_up_to_sign
+from conftest import WIDE_H, make_channel, same_up_to_sign, scaled_from_t
 
 
 def canonical_sign(v: np.ndarray) -> tuple:
@@ -34,14 +33,14 @@ def canonical_sign(v: np.ndarray) -> tuple:
 
 class TestListSearch:
     def test_worked_dense_instance(self):
-        found = list_search(canonicalize([0.75, 0.65]), 3)
+        found = list_search(scaled_from_t([0.75, 0.65]), 3)
         assert found.objectives == pytest.approx([0.04, 0.16, 0.36], rel=1e-9)
         expected = [[1, 1], [2, 2], [3, 3]]
         for entry, want in zip(found, expected):
             assert same_up_to_sign(entry.a, want)
 
     def test_short_list_when_few_have_positive_rate(self):
-        found = list_search(canonicalize([0.9, 0.0]), 5)
+        found = list_search(scaled_from_t([0.9, 0.0]), 5)
         assert len(found) == 2
         assert found.objectives == pytest.approx([0.19, 0.76], rel=1e-9)
         assert same_up_to_sign(found[0].a, [1, 0])
@@ -59,7 +58,7 @@ class TestListSearch:
     def test_rejects_empty_request(self):
         for L in (0, 2.7, 2.0, True):
             with pytest.raises(ValueError):
-                list_search(canonicalize([0.5, 0.2]), L)
+                list_search(scaled_from_t([0.5, 0.2]), L)
 
     def test_objectives_sorted_and_below_one(self, rng):
         for _ in range(60):
@@ -77,7 +76,7 @@ class TestListSearch:
             channels.append(ScaledChannel.from_channel(make_channel(rng, n, float(rng.choice([1.0, 10.0])))))
         # a level-0 center lands exactly on an integer here, so the walk
         # meets both [1, 1, 1] and [-1, -1, -1] at one objective
-        channels.append(canonicalize([0.625, 0.6, 0.375]))
+        channels.append(scaled_from_t([0.625, 0.6, 0.375]))
         for sc in channels:
             found = list_search(sc, 10)
             keys = [canonical_sign(e.a) for e in found]
@@ -115,7 +114,7 @@ class TestListSearch:
         assert checked > 60
 
     def test_single_source(self):
-        found = list_search(canonicalize([0.9]), 4)
+        found = list_search(scaled_from_t([0.9]), 4)
         # a=1: 0.19, a=2: 0.76; a=3 already exceeds 1
         assert found.objectives == pytest.approx([0.19, 0.76], rel=1e-9)
 

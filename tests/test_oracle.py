@@ -9,11 +9,10 @@ from cfcoef import (
     OracleInfeasibleError,
     brute_force_svp,
     brute_force_topl,
-    canonicalize,
     svp_box_bound,
     topl_box_bound,
 )
-from conftest import same_up_to_sign
+from conftest import same_up_to_sign, scaled_from_t
 
 
 class TestBoxBounds:
@@ -74,7 +73,7 @@ class TestBruteForceSvp:
         for _ in range(40):
             n = int(rng.integers(2, 5))
             t = rng.uniform(-0.6, 0.6, n) / math.sqrt(n)
-            sc = canonicalize(t)
+            sc = scaled_from_t(t)
             assert brute_force_svp(t).objective == pytest.approx(
                 brute_force_svp(sc.t).objective, rel=1e-12
             )

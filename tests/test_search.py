@@ -12,7 +12,6 @@ from cfcoef import (
     ScaledChannel,
     baseline_search,
     brute_force_svp,
-    canonicalize,
     cholesky_factor,
     computation_rate,
     count_visited_nodes,
@@ -30,7 +29,9 @@ from cfcoef.core import _channel_rows, _invert
 from cfcoef.search import (
     _answer, _clipped_round, _coefficients, _constrained_walk, _round_nearest, _solve_row,
 )
-from conftest import FLOAT_LIMIT_H, WIDE_H, feasible_instance, make_channel, same_up_to_sign
+from conftest import (
+    FLOAT_LIMIT_H, WIDE_H, feasible_instance, make_channel, same_up_to_sign, scaled_from_t,
+)
 
 
 def enumerate_tree_count(sc, shell=1e-9):
@@ -72,12 +73,12 @@ class TestBaselineSearch:
         assert sorted(np.abs(res.a).tolist()) == [0, 0, 1]
 
     def test_worked_shortcut_instance(self):
-        res = baseline_search(cholesky_factor(canonicalize([0.8, 0.4])))
+        res = baseline_search(cholesky_factor(scaled_from_t([0.8, 0.4])))
         assert res.objective == pytest.approx(0.36, rel=1e-9)
         assert same_up_to_sign(res.a, [1, 0])
 
     def test_worked_dense_instance(self):
-        res = baseline_search(cholesky_factor(canonicalize([0.75, 0.65])))
+        res = baseline_search(cholesky_factor(scaled_from_t([0.75, 0.65])))
         assert res.objective == pytest.approx(0.04, rel=1e-9)
         assert same_up_to_sign(res.a, [1, 1])
 
@@ -101,25 +102,25 @@ class TestBaselineSearch:
 
 class TestModifiedSearch:
     def test_worked_shortcut_instance(self):
-        res = modified_search(canonicalize([0.8, 0.4]))
+        res = modified_search(scaled_from_t([0.8, 0.4]))
         assert res.a.tolist() == [1, 0]
         assert res.objective == pytest.approx(0.36, rel=1e-9)
 
     def test_worked_dense_instance(self):
-        res = modified_search(canonicalize([0.75, 0.65]))
+        res = modified_search(scaled_from_t([0.75, 0.65]))
         assert res.a.tolist() == [1, 1]
         assert res.objective == pytest.approx(0.04, rel=1e-9)
 
     def test_decoupled_coordinates(self, rng):
         for t1 in rng.uniform(0.1, 0.95, 8):
-            sc = canonicalize([float(t1), 0.0, 0.0, 0.0])
+            sc = scaled_from_t([float(t1), 0.0, 0.0, 0.0])
             res = modified_search(sc)
             assert res.a.tolist() == [1, 0, 0, 0]
             assert res.objective == float(sc.q[0])
             assert res.incumbents == (float(sc.q[0]),)
 
     def test_single_dimension(self):
-        sc = canonicalize([0.6])
+        sc = scaled_from_t([0.6])
         res = modified_search(sc)
         assert res.a.tolist() == [1]
         assert res.objective == pytest.approx(0.64, rel=1e-12)
@@ -359,9 +360,9 @@ class TestPinnedTraversal:
     def test_descent_center_on_half_tie(self):
         # t[0]*t[1]/f[1] is exactly 1.5: the tie rounds toward zero, onto
         # the clip at a[1] = 1, and the descent then passes
-        sc = canonicalize([0.84, 0.5257142857142858])
+        sc = scaled_from_t([0.84, 0.5257142857142859])
         assert float(sc.t[0] * sc.t[1] / sc.f[1]) == 1.5
-        incumbents = ("0x1.2d77318fc5049p-2", "0x1.141edcb2fca12p-3")
+        incumbents = ("0x1.2d77318fc504ap-2", "0x1.141edcb2fca12p-3")
         _assert_pinned(modified_search(sc), 5, incumbents, [1, 1])
 
     @pytest.mark.parametrize("n, snr_db, seed, trial, tree, visited", PINNED_COUNTS)
@@ -386,7 +387,7 @@ class TestOpeningScan:
 
     def test_cutover_settings_agree(self, monkeypatch):
         rng = np.random.default_rng(31)
-        channels = [canonicalize([0.84, 0.5257142857142858])]  # descent center 1.5
+        channels = [scaled_from_t([0.84, 0.5257142857142859])]  # descent center 1.5
         # PINNED_EDGES reach every hand-over branch; in the two n=3 rows
         # after them q[0]/q[2] is 3.37 and 4.006, so the a[2] = 2 test alone
         # decides whether the scan hands over
@@ -436,13 +437,13 @@ class TestOpeningScan:
 
 class TestNodeCounters:
     def test_decoupled_two_dim(self):
-        sc = canonicalize([0.9, 0.0])
+        sc = scaled_from_t([0.9, 0.0])
         assert enumerate_tree_count(sc) == [1, 1]
         assert count_visited_nodes(sc) == 1
 
     def test_worked_dense_instance(self):
         # E[1] = {0..3} and E[0] = {00, 11, 21, 22, 32, 33}
-        sc = canonicalize([0.75, 0.65])
+        sc = scaled_from_t([0.75, 0.65])
         assert enumerate_tree_count(sc) == [6, 4]
         assert count_visited_nodes(sc) == 12
 
@@ -480,7 +481,7 @@ class TestNodeCounters:
     def test_shrinking_can_exceed_literal_set_count(self):
         # the evaluation metric counts leaf tests, so it may exceed the
         # cardinality of the feasible sets themselves
-        sc = canonicalize([0.6, 0.55])
+        sc = scaled_from_t([0.6, 0.55])
         assert sum(enumerate_tree_count(sc)) == 3
         assert modified_search(sc).nodes_visited == 4
         assert count_visited_nodes(sc) == 3
