@@ -37,7 +37,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,8 +50,10 @@ from .core import (
     _check_channels,
     _e1_optimal,
     _is_integer,
+    _is_real,
     _quadratic_forms,
     _rate,
+    _require_count,
     _unit_form,
 )
 from .listsearch import _list_row
@@ -146,7 +147,7 @@ class TrialConfig:
             raise ValueError(f"list_size must be at least 1, got {self.list_size!r}")
         if self.mode == "list" and self.list_size is None:
             raise ValueError("list mode requires list_size >= 1")
-        if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
+        if not _is_real(self.snr_db):
             raise ValueError(f"snr_db must be a real number, got {self.snr_db!r}")
         _snr_power(self.snr_db)
         object.__setattr__(self, "snr_db", float(self.snr_db))
@@ -182,8 +183,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def sample_channel(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. standard normal channel gains."""
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    _require_count(n, "n")
     return rng.standard_normal(n)
 
 
@@ -427,18 +427,15 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     the reduction is performed in trial order, the ``result`` field is
     identical at any parallelism and chunk size.
 
-    The pool pays a fixed cost to start its workers, about 20 ms of wall
-    time on a 2-core machine, so small runs finish sooner serially: 1,000
-    ``e1_freq`` trials at n=8 took a median of 4 ms serially and 22 ms on
-    two workers.
+    The pool pays a fixed cost to start its workers, so small runs finish
+    sooner serially; README's "Determinism" section gives a measurement.
 
     Raises
     ------
     ValueError
-        If ``parallel`` is not an integer >= 1.
+        If ``parallel`` is not an integer of at least 1.
     """
-    if not _is_integer(parallel) or parallel < 1:
-        raise ValueError(f"parallel must be an integer >= 1, got {parallel!r}")
+    _require_count(parallel, "parallel")
     start = time.perf_counter()
     # each chunk pays a fixed cost (seed hashing, the generator, the builder),
     # so a serial run pays it as few times as the cap allows

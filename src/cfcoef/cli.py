@@ -12,7 +12,7 @@ import numpy as np
 from .bench import (
     MODES, TrialConfig, _snr_power, emit_report, run_trials, sample_channel, trial_rng,
 )
-from .core import ChannelInstance, NumericDegeneracyError, ScaledChannel
+from .core import ChannelInstance, NumericDegeneracyError, ScaledChannel, _require_count
 from .listsearch import list_solve
 from .oracle import OracleInfeasibleError, brute_force_svp
 from .search import modified_search, solve
@@ -99,10 +99,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     """Search-versus-oracle equivalence sweep over random channels."""
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
+    _require_count(args.trials, "trials")
+    _require_count(args.n, "n")
     checked = 0
     refused = 0
     mismatches = []

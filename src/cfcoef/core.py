@@ -49,6 +49,18 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """True for Python and NumPy reals; a bool is not one (``np.bool_`` is no ``numbers.Real``)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _require_count(value, name: str) -> int:
+    """``value`` as a Python int; ``ValueError`` unless an integer of at least 1."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """A read-only contiguous copy, so the caller's array stays its own."""
     a = np.array(a, order="C")
@@ -56,32 +68,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _holds_bool(x) -> bool:
-    """True if ``x`` is a boolean array or a sequence holding a boolean."""
-    if isinstance(x, np.ndarray):
-        return x.dtype == np.bool_
-    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).ravel())
+def _real_array(x, name: str) -> np.ndarray:
+    """``np.asarray(x)``, dtype kept; ``ValueError`` unless ``x`` is a float or integer
+    array, or NumPy reads it as a numeric or object array of :func:`_is_real` entries.
+    A float cast would drop an imaginary part, read a bool as 0 or 1, or parse a string.
+    A list is scanned even as floats, which a bool among floats becomes, and the kind
+    test stops a datetime64 array, whose entries can read as ints."""
+    v = np.asarray(x)
+    if v.dtype.kind in "fiu" and isinstance(x, np.ndarray):
+        return v
+    if v.dtype.kind in "fiuO" and all(map(_is_real, np.asarray(x, dtype=object).flat)):
+        return v
+    raise ValueError(f"{name} must hold real numbers, not booleans, complex numbers or strings")
 
 
 def _as_vector(x, name: str) -> np.ndarray:
-    """``x`` as a nonempty 1-D float vector; its values are checked by the caller.
-
-    Complex, boolean and string entries are rejected before the float cast,
-    which would drop an imaginary part, read a bool as 0 or 1, or parse a
-    numeric string.
-    """
-    v = np.asarray(x)
-    if v.dtype.kind in "cSU" or _holds_bool(x):
-        raise ValueError(f"{name} must hold real numbers, not complex, boolean or string entries")
-    v = v.astype(np.float64, copy=False)
+    """:func:`_real_array` as a nonempty 1-D float vector; the caller checks its values."""
+    v = _real_array(x, name).astype(np.float64, copy=False)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-D real vector")
     return v
-
-
-# The invariant checks below run along the last axis.  A constructor checks its
-# one vector; only ``_check_channels`` still runs on a whole chunk, the
-# channels that ``run_trials`` draws.
 
 
 def _check_finite(v: np.ndarray, name: str) -> None:
@@ -90,35 +96,10 @@ def _check_finite(v: np.ndarray, name: str) -> None:
 
 
 def _check_channels(h: np.ndarray) -> None:
-    """``ValueError`` unless every channel ``h[..., :]`` is finite and nonzero."""
+    """``ValueError`` unless each channel ``h[..., :]`` is finite and nonzero."""
     _check_finite(h, "h")
     if not h.any(axis=-1).all():
         raise ValueError("zero channel vector is trivial and rejected")
-
-
-def _check_signed_permutations(perm: np.ndarray, sign: np.ndarray) -> None:
-    """``ValueError`` unless each ``perm[..., :]`` permutes ``0..n-1`` and
-    every ``sign`` entry is +1 or -1."""
-    if (np.sort(perm, axis=-1) != np.arange(perm.shape[-1])).any():
-        raise ValueError("perm is not a permutation of 0..n-1")
-    if not (np.abs(sign) == 1).all():
-        raise ValueError("sign entries must be +1 or -1")
-
-
-def _check_scaled(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> None:
-    """``ValueError`` unless every row ``t[..., :]``, ``f[..., :]``,
-    ``q[..., :]`` satisfies the invariants of :class:`ScaledChannel`.
-
-    Each test is written so that a nan fails it, and the bounds on ``f``
-    and ``q`` exclude infinities, so only ``t`` needs a finiteness test.
-    """
-    _check_finite(t, "t")
-    if not ((t[..., -1] >= 0.0).all() and (t[..., :-1] >= t[..., 1:]).all()):
-        raise ValueError("t must be sorted nonincreasing and nonnegative")
-    if not ((f[..., 0] == 1.0).all() and (f[..., -1] > 0.0).all() and (f[..., :-1] >= f[..., 1:]).all()):
-        raise ValueError("f must start at 1, be nonincreasing, and stay positive")
-    if not ((q > 0.0) & (q <= 1.0)).all():
-        raise ValueError("q entries must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -131,7 +112,7 @@ class ChannelInstance:
     def __post_init__(self):
         h = _as_vector(self.h, "h")
         _check_channels(h)
-        if not isinstance(self.P, numbers.Real) or isinstance(self.P, bool):
+        if not _is_real(self.P):
             raise ValueError(f"P must be a real number, got {self.P!r}")
         P = float(self.P)
         if not math.isfinite(P) or P <= 0.0:
@@ -158,13 +139,14 @@ class SignedPermutation:
 
     def __post_init__(self):
         # checked as floats, so a fractional entry is rejected, not truncated
-        perm = np.asarray(self.perm, dtype=np.float64)
-        sign = np.asarray(self.sign, dtype=np.float64)
-        if perm.ndim != 1 or sign.shape != perm.shape:
+        perm = _as_vector(self.perm, "perm")
+        sign = _as_vector(self.sign, "sign")
+        if sign.shape != perm.shape:
             raise ValueError("perm and sign must be 1-D arrays of equal length")
-        if _holds_bool(self.perm) or _holds_bool(self.sign):
-            raise ValueError("perm and sign entries must be integers, not booleans")
-        _check_signed_permutations(perm, sign)
+        if (np.sort(perm) != np.arange(perm.size)).any():
+            raise ValueError("perm is not a permutation of 0..n-1")
+        if not (np.abs(sign) == 1).all():
+            raise ValueError("sign entries must be +1 or -1")
         object.__setattr__(self, "perm", _readonly(perm.astype(np.intp)))
         object.__setattr__(self, "sign", _readonly(sign.astype(np.int64)))
 
@@ -210,7 +192,14 @@ class ScaledChannel:
         q = _as_vector(self.q, "q")
         if self.perm.n != n or f.size != n + 1 or q.size != n:
             raise ValueError("inconsistent array lengths")
-        _check_scaled(t, f, q)
+        # a nan fails every test, and the bounds on f and q exclude infinities
+        _check_finite(t, "t")
+        if not (t[-1] >= 0.0 and (t[:-1] >= t[1:]).all()):
+            raise ValueError("t must be sorted nonincreasing and nonnegative")
+        if not (f[0] == 1.0 and f[-1] > 0.0 and (f[:-1] >= f[1:]).all()):
+            raise ValueError("f must start at 1, be nonincreasing, and stay positive")
+        if not ((q > 0.0) & (q <= 1.0)).all():
+            raise ValueError("q entries must lie in (0, 1]")
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "f", _readonly(f))
         object.__setattr__(self, "q", _readonly(q))
@@ -335,8 +324,8 @@ def scale_channel(ch: ChannelInstance) -> np.ndarray:
 
 
 def restore(perm: SignedPermutation, a) -> np.ndarray:
-    """Map a canonical-coordinate coefficient vector back to original coordinates."""
-    a = np.asarray(a)
+    """Map a canonical-coordinate coefficient vector back to original coordinates, dtype kept."""
+    a = _real_array(a, "a")
     if a.shape != (perm.n,):
         raise ValueError(f"expected a vector of length {perm.n}, got shape {a.shape}")
     return _invert(perm.perm, perm.sign, a)
@@ -370,13 +359,13 @@ def computation_rate(ch: ChannelInstance, a) -> float:
     Raises
     ------
     ValueError
-        If ``a`` has the wrong length, an entry that is not a finite
-        integer (integral floats are accepted), or is the zero vector.
+        If ``a`` is not a length-``n`` vector of finite integers (integral
+        floats are accepted, booleans and strings are not) or is zero.
     NumericDegeneracyError
         If the denominator evaluates to a nonpositive float or to nan, as
         it does when ``||a||^2`` and ``P (h'a)^2`` both overflow.
     """
-    af = np.asarray(a, dtype=np.float64)
+    af = _as_vector(a, "a")
     if af.shape != ch.h.shape:
         raise ValueError(f"a must have length {ch.n}")
     if not (np.isfinite(af) & (af == np.rint(af))).all():

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelInstance, ScaledChannel, _channel_rows, _is_integer
+from .core import ChannelInstance, ScaledChannel, _channel_rows, _require_count
 from .search import _answer, _coefficients, _round_nearest, _sgn
 
 __all__ = ["Candidate", "CandidateList", "list_search", "list_solve"]
@@ -44,8 +44,7 @@ class CandidateList:
     requested: int
 
     def __post_init__(self):
-        if self.requested < 1:
-            raise ValueError("requested list size must be at least 1")
+        _require_count(self.requested, "requested")
         if len(self.entries) > self.requested:
             raise ValueError("more entries than requested")
 
@@ -61,13 +60,6 @@ class CandidateList:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-
-def _require_count(value, name: str) -> int:
-    """``value`` as a Python int; ``ValueError`` unless an integer of at least 1."""
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
 
 
 def _insert(vecs: list, objs: list, a: list, alpha: float, limit: int) -> None:

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .core import _as_vector, _check_finite
-from .listsearch import Candidate, CandidateList, _require_count
+from .core import _as_vector, _check_finite, _require_count
+from .listsearch import Candidate, CandidateList
 from .search import SearchResult
 
 __all__ = [

@@ -34,6 +34,7 @@ from .core import (
     _invert,
     _quadratic_form,
     _rate,
+    _real_array,
     _unit_form,
 )
 
@@ -367,9 +368,10 @@ def baseline_search(R) -> SearchResult:
     Raises
     ------
     ValueError
-        If ``R`` is not square upper-triangular or has a zero diagonal entry.
+        If ``R`` holds a non-real entry, is not square upper-triangular, or
+        has a zero diagonal entry.
     """
-    R = np.asarray(R, dtype=np.float64)
+    R = _real_array(R, "R").astype(np.float64, copy=False)
     if R.ndim != 2 or R.shape[0] != R.shape[1] or R.shape[0] == 0:
         raise ValueError("R must be a square matrix")
     if np.any(np.tril(R, k=-1) != 0.0):

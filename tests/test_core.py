@@ -3,6 +3,7 @@
 import itertools
 import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,6 +275,11 @@ class TestRestore:
         with pytest.raises(ValueError, match="expected a vector of length 3"):
             restore(perm, a)
 
+    def test_keeps_integer_dtype(self):
+        perm = SignedPermutation(perm=[1, 0], sign=[-1, 1])
+        a = restore(perm, np.array([1, 1], dtype=np.int32))
+        assert a.dtype == np.int32 and a.tolist() == [1, -1]
+
     def test_round_trip(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 10))
@@ -538,6 +544,10 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="not booleans"):
             SignedPermutation(perm=perm, sign=sign)
 
+    def test_signed_permutation_rejects_empty_vectors(self):
+        with pytest.raises(ValueError, match="perm must be a nonempty 1-D real vector"):
+            SignedPermutation(perm=[], sign=[])
+
     def test_signed_permutation_keeps_integral_floats(self):
         sp = SignedPermutation(perm=[1.0, 0.0], sign=[-1.0, 1.0])
         assert sp.perm.dtype == np.intp and sp.sign.dtype == np.int64
@@ -574,10 +584,14 @@ class TestTypeValidation:
     @pytest.mark.parametrize("x", [
         np.array([1 + 2j, 3.0]), [1 + 2j, 3.0], [0.5 + 0j, 0.25], [True, False],
         np.array([True, False]), [0.5, np.bool_(True)], ["1", "2"], np.array(["0.5", "0.25"]),
+        [1j, Fraction(1, 2)], [None, 1.0], ["1", "0"],
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[ns]"),
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
     ])
     def test_vectors_reject_non_real_entries(self, x):
         # the float cast would drop an imaginary part, read a bool as 0 or 1,
-        # or parse a string; every entry point rejects them instead
+        # or parse a string, and restore would keep a bool and drop its sign;
+        # every entry point rejects them instead
         good = scaled_from_t([0.5, 0.4])
         match = "must hold real numbers"
         with pytest.raises(ValueError, match=match):
@@ -586,6 +600,12 @@ class TestTypeValidation:
             ScaledChannel(t=x, perm=good.perm, f=good.f, q=good.q)
         with pytest.raises(ValueError, match=match):
             brute_force_svp(x)
+        with pytest.raises(ValueError, match=match):
+            SignedPermutation(perm=x, sign=[1, 1])
+        with pytest.raises(ValueError, match=match):
+            computation_rate(ChannelInstance(h=[0.8, -1.4], P=10.0), x)
+        with pytest.raises(ValueError, match=match):
+            restore(SignedPermutation(perm=[1, 0], sign=[-1, 1]), x)
 
     def test_single_coordinate_factor(self):
         R = cholesky_factor(scaled_from_t([0.6]))

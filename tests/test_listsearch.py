@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfcoef import (
+    CandidateList,
     ChannelInstance,
     NumericDegeneracyError,
     ScaledChannel,
@@ -59,6 +60,11 @@ class TestListSearch:
         for L in (0, 2.7, 2.0, True):
             with pytest.raises(ValueError):
                 list_search(scaled_from_t([0.5, 0.2]), L)
+
+    @pytest.mark.parametrize("requested", [0, 2.5, True, "3"])
+    def test_requested_must_be_a_count(self, requested):
+        with pytest.raises(ValueError, match="requested must be an integer of at least 1"):
+            CandidateList(entries=(), requested=requested)
 
     def test_objectives_sorted_and_below_one(self, rng):
         for _ in range(60):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfcoef import ChannelInstance, ScaledChannel, list_solve, solve
-from cfcoef.core import _channel_rows, _check_scaled, _check_signed_permutations
+from cfcoef.core import _channel_rows
 
 FLOAT_MAX = np.finfo(np.float64).max
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -99,8 +99,6 @@ def test_channel_rows_need_no_check(chunk):
         assert not all(_builds(h, P) for h in H)
         return
     for i, h in enumerate(H):
-        _check_scaled(t[i], f[i], q[i])
-        _check_signed_permutations(order[i], sign[i])
         sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=P))
         for name, rows in (("t", t), ("f", f), ("q", q)):
             assert rows[i].tobytes() == getattr(sc, name).tobytes()

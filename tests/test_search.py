@@ -99,6 +99,13 @@ class TestBaselineSearch:
         with pytest.raises(ValueError):
             baseline_search(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("R", [
+        [[True, False], [False, True]], [["1", "0"], ["0", "1"]], np.array([[1 + 1j, 0], [0, 1]]),
+    ])
+    def test_rejects_non_real_entries(self, R):
+        with pytest.raises(ValueError, match="R must hold real numbers"):
+            baseline_search(R)
+
 
 class TestModifiedSearch:
     def test_worked_shortcut_instance(self):
