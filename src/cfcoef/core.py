@@ -70,15 +70,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _real_array(x, name: str) -> np.ndarray:
     """``np.asarray(x)``, dtype kept; ``ValueError`` unless ``x`` is a float or integer
-    array, or NumPy reads it as a numeric or object array of :func:`_is_real` entries.
-    A float cast would drop an imaginary part, read a bool as 0 or 1, or parse a string.
-    A list is scanned even as floats, which a bool among floats becomes, and the kind
-    test stops a datetime64 array, whose entries can read as ints."""
+    array, or NumPy reads it as a numeric or object array of :func:`_is_real` entries: a
+    float cast would drop an imaginary part, read a bool as 0 or 1, or parse a string.  A
+    list of floats may hide a bool, and a datetime64 array's entries can read as ints."""
     v = np.asarray(x)
     if v.dtype.kind in "fiu" and isinstance(x, np.ndarray):
         return v
-    if v.dtype.kind in "fiuO" and all(map(_is_real, np.asarray(x, dtype=object).flat)):
-        return v
+    if v.dtype.kind in "fiuO":
+        # _is_real depends on an entry's type alone, so one entry per type is tested
+        entries = np.asarray(x, dtype=object).ravel()
+        if all(map(_is_real, dict(zip(map(type, entries), entries)).values())):
+            return v
     raise ValueError(f"{name} must hold real numbers, not booleans, complex numbers or strings")
 
 

@@ -558,6 +558,12 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             ScaledChannel(t=[0.4, 0.5], perm=good.perm, f=good.f, q=good.q)
 
+    def test_scaled_channel_requires_nonnegative_t(self):
+        # sorted nonincreasing, so only the sign test rejects it
+        good = scaled_from_t([0.5, 0.4])
+        with pytest.raises(ValueError, match="t must be sorted nonincreasing and nonnegative"):
+            ScaledChannel(t=[0.5, -0.4], perm=good.perm, f=good.f, q=good.q)
+
     def test_scaled_channel_requires_positive_f(self):
         good = scaled_from_t([0.5, 0.4])
         with pytest.raises(ValueError):
