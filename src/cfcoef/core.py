@@ -44,14 +44,14 @@ class NumericDegeneracyError(ArithmeticError):
     an optimal coefficient does not fit in int64."""
 
 
-def _is_integer(x) -> bool:
-    """True for Python and NumPy integers; a bool is not a count."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def _is_real(x) -> bool:
-    """True for Python and NumPy reals; a bool is not one (``np.bool_`` is no ``numbers.Real``)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """True for Python and NumPy reals, except bools and timedeltas (a NumPy integer type)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.timedelta64))
+
+
+def _is_integer(x) -> bool:
+    """True for the integers among :func:`_is_real` numbers."""
+    return isinstance(x, numbers.Integral) and _is_real(x)
 
 
 def _require_count(value, name: str) -> int:

@@ -97,7 +97,7 @@ class TestTrialConfig:
         with pytest.raises(ValueError, match=field):
             TrialConfig(**kwargs)
 
-    @pytest.mark.parametrize("snr_db", ["10", None, True, False, 1j])
+    @pytest.mark.parametrize("snr_db", ["10", None, True, False, 1j, np.timedelta64(10)])
     def test_snr_must_be_a_real_number(self, snr_db):
         with pytest.raises(ValueError, match="snr_db must be a real number"):
             TrialConfig(mode="solve", n=2, snr_db=snr_db, trials=1, seed=0)

@@ -46,7 +46,9 @@ class TestChannelInstance:
         with pytest.raises(ValueError):
             ChannelInstance(h=[0.0, 0.0], P=1.0)
 
-    @pytest.mark.parametrize("P", [0.0, -1.0, math.inf, math.nan, True, "10", None])
+    @pytest.mark.parametrize("P", [
+        0.0, -1.0, math.inf, math.nan, True, "10", None, np.timedelta64(5),
+    ])
     def test_rejects_bad_power(self, P):
         with pytest.raises(ValueError):
             ChannelInstance(h=[1.0], P=P)
@@ -590,7 +592,7 @@ class TestTypeValidation:
     @pytest.mark.parametrize("x", [
         np.array([1 + 2j, 3.0]), [1 + 2j, 3.0], [0.5 + 0j, 0.25], [True, False],
         np.array([True, False]), [0.5, np.bool_(True)], ["1", "2"], np.array(["0.5", "0.25"]),
-        [1j, Fraction(1, 2)], [None, 1.0], ["1", "0"],
+        [1j, Fraction(1, 2)], [None, 1.0], ["1", "0"], [np.timedelta64(1, "ns"), 1.0],
         np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[ns]"),
         np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
     ])

@@ -165,7 +165,7 @@ class TestListSolve:
                 assert obj == pytest.approx(canonical.objective, rel=1e-9)
                 assert rate == pytest.approx(computation_rate(ch, a), rel=1e-12)
 
-    @pytest.mark.parametrize("L", [0, -1, 2.7, True, "3"])
+    @pytest.mark.parametrize("L", [0, -1, 2.7, True, "3", np.timedelta64(3)])
     def test_rejects_unusable_count_before_searching(self, monkeypatch, L):
         def no_build(*args):
             raise AssertionError("list_solve built rows for an unusable L")
