@@ -44,7 +44,7 @@ class CandidateList:
     requested: int
 
     def __post_init__(self):
-        _require_count(self.requested, "requested")
+        object.__setattr__(self, "requested", _require_count(self.requested, "requested"))
         if len(self.entries) > self.requested:
             raise ValueError("more entries than requested")
 

@@ -48,14 +48,13 @@ __all__ = [
 ]
 
 
-# Smallest n whose opening look-ahead runs as one numpy pass.  Whole-walk
-# medians on Gaussian channels at 10-40 dB, summed over those SNRs, of the
-# scan that evaluates only the live levels (BENCH_15.json, "cutover", five
-# runs): the per-level scan is faster up to n = 112, n = 128 is a tie
-# (numpy/per-level 0.98-1.03, median 1.016) and stays the cut-over, and the
-# numpy pass is faster from n = 144 (0.90-0.98).  At 10-20 dB, where the scan mostly ends the walk,
-# the numpy pass wins in every run from n = 128; at 30-40 dB, where it hands
-# over early, it loses up to about n = 160.
+# Smallest n whose opening scan runs as _opening_scan, not _opening_climb.
+# Whole-walk CPU medians on Gaussian channels, summed over 10-40 dB (12
+# channels per point, best of 5 interleaved batches of 30 calls per form,
+# three runs, BENCH_24.json): numpy/per-level reads 1.04 at n = 128, 0.98-1.00
+# at 144 and 0.84-0.85 at 192.  The numpy pass still wins at 10-20 dB from 128,
+# where the scan mostly ends the walk, and the tier-1 rows that reach it sit
+# just above 128, so the cut-over stays there.
 _VECTOR_SCAN_MIN_N = 128
 
 
@@ -78,19 +77,46 @@ def _clipped_round(d: np.ndarray) -> np.ndarray:
     return np.maximum(r, 1.0, out=r)
 
 
-def _opening_scan(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
-    """The walk's first look-ahead over levels ``1..n-1`` in one numpy pass.
+def _opening_climb(t: list, f: list, q: list) -> tuple:
+    """The walk's opening climb through levels ``1..n-1``, on lists.
 
-    Returns ``(j, nodes)``: the first level where the descent or the
-    ``a[j] = 2`` test passes at radius ``q[0]`` (``n`` if none does), and the
-    radius tests the walk makes before it tests ``a[j] = 1`` there.  Only the
-    live levels, those with ``q[j] < q[0]``, are evaluated: each of the two
-    tests' values is at least ``q[j]`` in floats too, so no other level can
-    pass, and each live level below ``j`` costs two tests more than a dead
-    one.  Each value is the float the per-level scan computes: ``r`` is
-    :func:`_round_nearest` clipped at 1 (``ceil(d - 0.5)`` would differ from
-    ``2**52`` on), and ``np.float_power`` rounds the square like Python's
-    ``** 2``, where ``np.power`` and ``d * d`` do not always.
+    At radius ``q[0]``, an untouched level ``j`` and all above it hold
+    ``a = 0``, ``p = d = sig = 0``, so the walk's first steps there are
+    fixed: test ``a[j] = 1`` (value ``q[j]``); if that passes, descend to
+    the center ``t[j-1]*t[j]/f[j]`` rounded and clipped at 1 (value
+    ``q[j] + q[j-1]*(a[j-1] - d[j-1])**2``); if that fails, test ``a[j] = 2``
+    (value ``4*q[j]``).  The walk's ``p[j] = 0.0 + t[j]*1`` and
+    ``(a[j] - 0.0)**2`` are exact, so it forms the same floats.  Returns
+    ``(j, nodes)``: the first level where the descent or the ``a[j] = 2``
+    test passes (``n`` if none does), and the tests before ``a[j] = 1`` there.
+    """
+    q0 = q[0]
+    nodes = 1  # the failing a[0] = 1 test
+    for j in range(1, len(q)):
+        qj = q[j]
+        if qj < q0:
+            dj = t[j - 1] * t[j] / f[j]
+            aj = _round_nearest(dj)
+            if aj <= 1:
+                aj = 1
+            if qj + q[j - 1] * (aj - dj) ** 2 < q0 or 4.0 * qj < q0:
+                return j, nodes
+            nodes += 3
+        else:
+            nodes += 1
+    return len(q), nodes
+
+
+def _opening_scan(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
+    """:func:`_opening_climb` on arrays, in one numpy pass.
+
+    Only the live levels, those with ``q[j] < q[0]``, are evaluated: each
+    of the two tests' values is at least ``q[j]`` in floats too, so no
+    other level can pass, and each live level below ``j`` costs two tests
+    more than a dead one.  Each value is the float the climb computes:
+    ``r`` is :func:`_round_nearest` clipped at 1 (``ceil(d - 0.5)`` would
+    differ from ``2**52`` on), and ``np.float_power`` rounds the square
+    like Python's ``** 2``, where ``np.power`` and ``d * d`` do not always.
     """
     q0 = q[0]
     live = np.flatnonzero(q[1:] < q0) + 1
@@ -153,46 +179,28 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     moves on to the next level-0 candidate, which is never closer to the
     center, so after a shrink its test fails.
 
-    Untouched-level look-ahead: a level above ``top``, the highest level
-    entered so far, is untouched, and every level above it still holds
-    ``a = 0``, ``p = d = sig = 0``.  When the walk climbs into one, its first
-    steps there are fixed: test ``a[j] = 1`` (value ``q[j]``); if that
-    passes, descend once to the center ``t[j-1]*t[j]/f[j]`` rounded and
-    clipped at 1 (value ``q[j] + q[j-1]*(a[j-1] - d[j-1])**2``), and, if
-    that fails, test ``a[j] = 2`` (value ``4*q[j]``).  No leaf can pass on
-    those steps, so the radius is fixed while they run.  The look-ahead
-    evaluates the same tests with the same float values but writes no
-    state, counting 1 node for a level whose first test fails and 3 for a
-    level where all three fail, and climbs on.  At the first level where the
-    descent or the ``a[j] = 2`` test passes it hands that level to the walk
-    as a fresh entry, ``a[j] = 1``; if it passes level ``n-1`` the walk is
-    over.  Node counts and leaves equal the plain walk's: the walk could
-    only reach a skipped level again by descending into it from above, and
-    that descent rewrites every value of the level before it is read.
-
     Opening scan: for ``n >= 2`` the first test, ``a[0] = 1`` against
-    ``q[0]``, always fails, so the first look-ahead starts at level 1 with
-    radius ``q[0]`` and nothing written.  From ``_VECTOR_SCAN_MIN_N`` levels
-    on, :func:`_opening_scan` evaluates it in one pass over the levels
-    whose ``a[j] = 1`` test passes, the only ones that can hand over; a scan
-    that passes level ``n-1`` ends the walk before any list is built, and
-    otherwise the walk starts at the hand-over level with the node count
-    the per-level scan would have reached.
+    ``q[0]``, always fails, and the walk climbs through untouched levels to
+    :func:`_opening_climb`'s hand-over level ``j``.  No leaf passes on the
+    way, and a level below ``j`` is reached again only by a descent, which
+    rewrites it, so the climb runs without state (as :func:`_opening_scan`
+    from ``_VECTOR_SCAN_MIN_N`` levels on) and the walk starts at ``j`` with
+    ``a[j] = 1``, or ends if ``j = n``.
 
     Returns ``(best, incumbents, nodes)``: the last incumbent's ``a[:n]``
     (None while it is the first unit vector), the successive squared radii
     from ``q[0]``, and the radius tests.
     """
     n = t.size
-    k = top = nodes = 0  # top: highest level entered; all above are untouched
     if n >= _VECTOR_SCAN_MIN_N:
         k, nodes = _opening_scan(t, f, q)
         if k == n:
             return None, [float(q[0])], nodes
-        top = k
-    t = t.tolist()
-    f = f.tolist()
-    q = q.tolist()
+    t, f, q = t.tolist(), f.tolist(), q.tolist()
+    if n < _VECTOR_SCAN_MIN_N:
+        k, nodes = _opening_climb(t, f, q)
+        if k == n:
+            return None, [q[0]], nodes
 
     p = [0.0] * (n + 1)
     d = [0.0] * n
@@ -233,30 +241,6 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
                 incumbents.append(alpha)
         elif k < n - 1:
             k += 1
-            if k > top:
-                # untouched: look ahead (see the docstring).  The walk's
-                # p[k] = 0.0 + t[k]*1 is t[k], and its q[k]*(a[k] - 0.0)**2
-                # is qk for a[k] = 1 and 4.0*qk for a[k] = 2, so each test
-                # compares the same float the walk would.
-                while k < n:
-                    qk = q[k]
-                    if qk < beta2:
-                        dk = t[k - 1] * t[k] / f[k]
-                        ak = _round_nearest(dk)
-                        if ak <= 1:
-                            ak = 1
-                        if qk + q[k - 1] * (ak - dk) ** 2 < beta2 or 4.0 * qk < beta2:
-                            break
-                        nodes += 3
-                    else:
-                        nodes += 1
-                    k += 1
-                else:
-                    break
-                top = k
-                a[k] = 1
-                delta = qk
-                continue
         else:
             break
         ak = a[k] + s[k]

@@ -66,6 +66,10 @@ class TestListSearch:
         with pytest.raises(ValueError, match="requested must be an integer of at least 1"):
             CandidateList(entries=(), requested=requested)
 
+    def test_requested_is_stored_as_python_int(self):
+        requested = CandidateList(entries=(), requested=np.int64(3)).requested
+        assert type(requested) is int and requested == 3
+
     def test_objectives_sorted_and_below_one(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 7))

@@ -195,9 +195,9 @@ class TestModifiedSearch:
 
 # Frozen outputs of the constrained walk: (n, snr_db, trial, nodes_visited,
 # incumbents as float.hex, nonzero prefix of the canonical a).  They were
-# recorded from the plain zig-zag walk, before the untouched-level look-ahead
-# existed, so any change to which nodes are tested or in what order shows
-# here as a literal mismatch.
+# recorded from the plain zig-zag walk, before it had an opening scan, so any
+# change to which nodes are tested or in what order shows here as a literal
+# mismatch.
 # Grid rows use trial_rng(11, trial); e1 is optimal on all of them.
 PINNED_GRID = [
     (100, 20, 0, 222, ("0x1.e70d4be65c6d0p-1",), [1]),
@@ -220,16 +220,18 @@ PINNED_GRID = [
     (10000, 40, 1, 14738, ("0x1.ff56ef9764a4ep-1",), [1]),
 ]
 
-# Edge rows use trial_rng(7, trial), chosen for the look-ahead branch each
+# Edge rows use trial_rng(7, trial), chosen for the opening-scan branch each
 # one reaches (level j is the untouched level where the scan stops):
 #   n=1: no level above 0, so the walk ends after its first test;
 #   n=2, trial 0: the scan passes level n-1 without a hand-over and ends;
 #   n=2, trial 6: hand-over at level n-1 because the descent test passes;
 #   n=3, trial 2: hand-over on a descent whose center rounds above the clip;
-#   n=3, trial 4: two descent hand-overs, the second at level n-1;
+#   n=3, trial 4: descent hand-over at level 1; after the first improvement
+#       the walk climbs plainly into the untouched level n-1 and improves again;
 #   n=3, trials 28 and 49: hand-over at level n-1 because the a[j]=2 test
 #       passes, with the descent center rounding to 1 and to 2;
-#   n=16, 40 dB: hand-overs at three consecutive levels, five incumbents.
+#   n=16, 40 dB: hand-over at level 13, then plain climbs into the untouched
+#       levels 14 and 15, five incumbents.
 PINNED_EDGES = [
     (1, 20, 0, 1, ("0x1.ffec2b0d64779p-1",), [1]),
     (2, 0, 0, 2, ("0x1.d60c79c2b74c0p-1",), [1]),
@@ -247,7 +249,7 @@ PINNED_EDGES = [
 
 
 # Frozen fixed-radius counts: (n, snr_db, seed, trial, tree, count_visited_nodes),
-# recorded from a walk without the untouched-level look-ahead.  ``tree`` is the
+# recorded from the plain walk, before it had an opening scan.  ``tree`` is the
 # size of the fixed-radius tree, the sum of enumerate_tree_count's sets, which
 # _assert_tree checks against the rest of the row.  The n=100 and n=1000 rows
 # climb through hundreds of untouched levels; n=1 ends after its first test;
@@ -390,7 +392,7 @@ class TestPinnedTraversal:
 
 
 class TestOpeningScan:
-    """The numpy opening scan against the per-level scan it replaces."""
+    """The opening scan's numpy and per-level forms against each other."""
 
     def test_cutover_settings_agree(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -420,7 +422,8 @@ class TestOpeningScan:
                 monkeypatch.setattr(search, "_VECTOR_SCAN_MIN_N", cutover)
                 walks.append([_constrained_walk(sc.t, sc.f, sc.q, shrink) for shrink in (True, False)])
             assert walks[0] == walks[1]
-            j, _ = search._opening_scan(sc.t, sc.f, sc.q)
+            j, nodes = search._opening_scan(sc.t, sc.f, sc.q)
+            assert search._opening_climb(sc.t.tolist(), sc.f.tolist(), sc.q.tolist()) == (j, nodes)
             ends += j == sc.n
             handovers += j < sc.n
         assert ends > 10 and handovers > 10
