@@ -13,9 +13,11 @@ into one ``(m, n)`` array, bit for bit the draws of :func:`trial_rng`,
 which remains the one-trial reference.  The chunk checks its channels (they
 skip :class:`ChannelInstance`), builds all its canonical rows with the
 builder call ``solve`` and ``list_solve`` make, and tests the first unit
-vector on all of them in one more call.  Only the search runs per trial:
-``solve`` and ``rate_avg`` map back and form every answer of the chunk in
-one pass and take one rate per trial, and ``rate_avg`` evaluates every
+vector on all of them in one more call.  The ``solve``, ``rate_avg`` and
+``node_ratio`` searches walk all the chunk's rows in one call of the
+compiled walk (:func:`~cfcoef.search._walk_rows`; ``list`` searches per
+trial).  ``solve`` and ``rate_avg`` map back and form every answer of the
+chunk in one pass and take one rate per trial, and ``rate_avg`` evaluates every
 row's dominance candidates as arrays and rates them only where a form
 threshold cannot decide the count (``list`` maps back per trial).  Each
 trial's record is written once, under its ``per_trial`` names.  Each value
@@ -39,7 +41,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +59,7 @@ from .core import (
     _unit_form,
 )
 from .listsearch import _list_row
-from .search import _coefficients, _constrained_walk, _visited_nodes
+from .search import _coefficients, _walk_rows
 
 __all__ = [
     "MODES",
@@ -249,7 +251,8 @@ def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
 def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
     """``solve`` on every row of a chunk as ``(rates, nodes, errors)`` lists.
 
-    The rows whose unit-vector test failed are walked.  The rows answered by
+    The rows whose unit-vector test failed are walked, in one
+    :func:`~cfcoef.search._walk_rows` call.  The rows answered by
     the first unit vector, from the test or from the walk, are formed by one
     :func:`~cfcoef.core._unit_form` pass; the other answers are mapped back by
     one scatter and formed by one :func:`~cfcoef.core._quadratic_forms` call.
@@ -260,8 +263,9 @@ def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
     """
     m, n = t.shape
     bests, nodes, errors = [None] * m, [0] * m, [None] * m
-    for i in np.flatnonzero(~hits).tolist():
-        bests[i], _, nodes[i] = _constrained_walk(t[i], f[i], q[i], shrink=True)
+    rows = np.flatnonzero(~hits)
+    for i, best, _, count in zip(rows.tolist(), *_walk_rows(t, f, q, rows, shrink=True)):
+        bests[i], nodes[i] = best, count
     walked = [i for i, best in enumerate(bests) if best is not None]
     try:
         coefs = np.array([bests[i] for i in walked], dtype=np.int64)
@@ -341,7 +345,8 @@ def _run_chunk(args) -> list:
     skip :class:`ChannelInstance`), builds every canonical row and tests the
     first unit vector on each, one call apiece.  ``e1_freq`` and
     ``node_ratio`` cannot raise and fill their ``per_trial`` records
-    directly; ``list`` runs ``list_solve``'s row step per trial; ``solve``
+    directly, ``node_ratio`` from one fixed-radius :func:`~cfcoef.search._walk_rows`
+    call; ``list`` runs ``list_solve``'s row step per trial; ``solve``
     and ``rate_avg`` rate the chunk with :func:`_solve_rows`, and
     ``rate_avg`` adds the dominance count as ``beating``.
     """
@@ -354,7 +359,7 @@ def _run_chunk(args) -> list:
     if mode == "e1_freq":
         return [({"trial": j, "hit": hit}, None) for j, hit in zip(trials, hits.astype(int).tolist())]
     if mode == "node_ratio":
-        nodes = [_visited_nodes(*row) for row in zip(t, f, q)]
+        nodes = [tests - 1 for tests in _walk_rows(t, f, q, range(len(t)), shrink=False)[2]]
         return [({"trial": j, "nodes": k, "ratio": k / (n * math.sqrt(1.0 + P * x))}, None)
                 for j, k, x in zip(trials, nodes, hnorm2.tolist())]
     if mode == "list":
@@ -428,7 +433,9 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     identical at any parallelism and chunk size.
 
     The pool pays a fixed cost to start its workers, so small runs finish
-    sooner serially; README's "Determinism" section gives a measurement.
+    sooner serially; README's "Determinism" section gives a measurement.  In
+    the pool, the first chunk to raise ends the run: the chunks not yet
+    started are cancelled and its error is raised once the running ones end.
 
     Raises
     ------
@@ -449,7 +456,14 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
         # with fork, the pool starts every worker at once: no more than chunks or usable CPUs
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         with ProcessPoolExecutor(max_workers=min(parallel, len(chunks), cpus or 1)) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            # the first error stops the run: chunks not yet started are dropped
+            failed = [fut for fut in futures if fut.done() and fut.exception() is not None]
+            if failed:
+                pool.shutdown(cancel_futures=True)
+                raise failed[0].exception()
+            parts = [fut.result() for fut in futures]
     else:
         parts = [_run_chunk(chunk) for chunk in chunks]
     rows = [row for part in parts for row in part]

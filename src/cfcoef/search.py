@@ -16,6 +16,13 @@ from level 0 through untouched levels at radius ``q[0]``, which reads only
 ``t``, ``f`` and ``q``.  From :data:`_VECTOR_SCAN_MIN_N` levels on that scan
 runs as one numpy pass (:func:`_opening_scan`) with the same float values,
 so node counts and incumbents do not change.
+
+The walk has a second form, in C: ``_walk.c``, built and loaded by
+:mod:`cfcoef._native`, walks many rows of a trial chunk in one call
+(:func:`_walk_rows`, used by the benchmark harness) and gives the same
+floats, node counts and vectors.  It hands a row whose coefficients reach
+``2**53`` back to :func:`_constrained_walk`, which stays the reference and
+the fallback, and which every single-channel call runs.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .core import (
     ChannelInstance,
     NumericDegeneracyError,
@@ -257,6 +265,42 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     return best, incumbents, nodes
 
 
+def _walk_rows(t: np.ndarray, f: np.ndarray, q: np.ndarray, rows, shrink: bool) -> tuple:
+    """:func:`_constrained_walk` on rows ``rows`` of a chunk's ``(m, n)`` ``t``,
+    ``(m, n+1)`` ``f`` and ``(m, n)`` ``q``, as lists ``(bests, lasts, nodes)``
+    aligned with ``rows``: each walk's ``best``, last incumbent and radius tests.
+
+    The rows run in one call of the compiled walk (:mod:`cfcoef._native`)
+    where it loads, and a ``best`` from it is an int64 row; the rows it hands
+    back, and every row where it does not load, run :func:`_constrained_walk`.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m, n = t.shape
+    # the C walk reads each listed row's t, f and q through raw pointers
+    if f.shape != (m, n + 1) or q.shape != (m, n) or not ((rows >= 0) & (rows < m)).all():
+        raise ValueError(f"rows {rows} of t, f, q with shapes {t.shape}, {f.shape}, {q.shape}")
+    walk = _native.walker()
+    count = rows.size
+    if walk is None:
+        redo, bests, lasts, nodes = range(count), [None] * count, [0.0] * count, [0] * count
+    else:
+        t, f, q = (np.ascontiguousarray(x, dtype=np.float64) for x in (t, f, q))
+        best = np.empty((count, n), dtype=np.int64)
+        moved, status = np.empty(count, dtype=np.int8), np.empty(count, dtype=np.int8)
+        tests, last = np.empty(count, dtype=np.int64), np.empty(count)
+        walk(n, count, rows.ctypes.data, t.ctypes.data, f.ctypes.data, q.ctypes.data,
+             int(shrink), best.ctypes.data, moved.ctypes.data, tests.ctypes.data,
+             last.ctypes.data, status.ctypes.data)
+        bests = [row if go else None for row, go in zip(best, moved.tolist())]
+        lasts, nodes = last.tolist(), tests.tolist()
+        redo = np.flatnonzero(status).tolist()
+    for r in redo:
+        i = rows[r]
+        bests[r], incumbents, nodes[r] = _constrained_walk(t[i], f[i], q[i], shrink)
+        lasts[r] = incumbents[-1]
+    return bests, lasts, nodes
+
+
 def modified_search(sc: ScaledChannel) -> SearchResult:
     """Find the optimal canonical coefficient vector by constrained enumeration.
 
@@ -332,12 +376,7 @@ def count_visited_nodes(sc: ScaledChannel) -> int:
     and is the quantity bounded by ``2 * n * sqrt(1 + P * ||h||^2)`` on
     Gaussian channels.
     """
-    return _visited_nodes(sc.t, sc.f, sc.q)
-
-
-def _visited_nodes(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> int:
-    """:func:`count_visited_nodes` on one canonical row."""
-    _, _, tests = _constrained_walk(t, f, q, shrink=False)
+    _, _, tests = _constrained_walk(sc.t, sc.f, sc.q, shrink=False)
     return tests - 1
 
 

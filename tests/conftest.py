@@ -84,6 +84,21 @@ def dominance_violations(ch, best_rate):
     return sum(computation_rate(ch, a) > best_rate + 1e-9 for a in dominance_candidates(ch))
 
 
+def assert_walks_match(t, f, q, shrink: bool) -> None:
+    """The chunk walk (compiled where it loads) on every row of ``t``, ``f``,
+    ``q`` gives the Python walk's best, last incumbent (to the bit) and node
+    count."""
+    from cfcoef.search import _constrained_walk, _walk_rows
+
+    bests, lasts, nodes = _walk_rows(t, f, q, range(len(t)), shrink)
+    for i, (best, last, count) in enumerate(zip(bests, lasts, nodes)):
+        ref, incumbents, tests = _constrained_walk(t[i], f[i], q[i], shrink)
+        assert (best is None) == (ref is None), i
+        assert best is None or list(best) == ref, i
+        assert float(last).hex() == float(incumbents[-1]).hex(), i
+        assert count == tests, i
+
+
 def same_up_to_sign(a, b) -> bool:
     a = np.asarray(a)
     b = np.asarray(b)

@@ -1,10 +1,14 @@
 """Monte-Carlo harness determinism, report formats, and the CLI surface."""
 
 import csv
+import functools
 import io
 import json
 import math
+import multiprocessing
 import re
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfcoef.bench as bench
+from cfcoef import _native, search
 from cfcoef import (
     ChannelInstance,
     NumericDegeneracyError,
@@ -29,8 +34,15 @@ from cfcoef import (
     trial_rng,
 )
 from cfcoef.cli import main
-from cfcoef.core import _scale_rows
-from conftest import FLOAT_LIMIT_H, WIDE_H, dominance_candidates, dominance_violations
+from cfcoef.core import _channel_rows, _scale_rows
+from conftest import (
+    FLOAT_LIMIT_H,
+    WIDE_H,
+    assert_walks_match,
+    dominance_candidates,
+    dominance_violations,
+    scaled_from_t,
+)
 
 
 class TestSampling:
@@ -245,6 +257,20 @@ class TestRunTrials:
         monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
         return requested
 
+    def test_pool_stops_at_the_first_error(self, monkeypatch):
+        # 16 one-trial chunks on 2 forked workers: chunk 0 raises at once and
+        # each other chunk sleeps 1 s, so draining them all would take about
+        # 8 s; only the chunks already handed to a worker still run
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(bench, "_run_chunk", _fail_first_chunk)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=16, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="chunk 0 failed"):
+            run_trials(cfg, parallel=2)
+        assert time.perf_counter() - start < 4.0
+
     def test_pool_never_outnumbers_trials(self, monkeypatch):
         requested = self._recording_pool(monkeypatch, cpus=1000)
         cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=3, seed=8)
@@ -267,6 +293,14 @@ class TestRunTrials:
         assert requested == [3, 1]
 
 
+def _fail_first_chunk(args):
+    """A stand-in for ``bench._run_chunk``: the chunk from trial 0 raises, the others sleep 1 s."""
+    if args[-2] == 0:
+        raise ValueError("chunk 0 failed")
+    time.sleep(1.0)
+    return []
+
+
 class _InlinePool:
     """Stands in for ``ProcessPoolExecutor``; runs the chunks in this process."""
 
@@ -279,8 +313,16 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 def _assert_same_rates(h, P):
@@ -821,3 +863,162 @@ class TestNodeRatioMeter:
             h = sample_channel(4, trial_rng(21, row["trial"]))
             sc = ScaledChannel.from_channel(ChannelInstance(h=h, P=1.0))
             assert row["nodes"] == count_visited_nodes(sc)
+
+
+def _dump(report) -> str:
+    return json.dumps([report.result, report.per_trial], sort_keys=True)
+
+
+class TestCompiledWalk:
+    """The chunk walk's compiled form (``cfcoef._native``) against the Python
+    walk; CI requires it to load, so that these compare two forms."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("mode, n, snr_db", [
+        ("solve", 1, 10.0),
+        ("solve", 8, 20.0),
+        ("solve", 130, 30.0),
+        ("list", 6, 20.0),
+        ("e1_freq", 8, 10.0),
+        ("node_ratio", 4, 0.0),
+        ("node_ratio", 140, 10.0),
+        ("rate_avg", 8, 20.0),
+        ("rate_avg", 40, 40.0),
+    ])
+    def test_reports_match_the_python_walk(self, monkeypatch, mode, n, snr_db, parallel):
+        cfg = TrialConfig(mode=mode, n=n, snr_db=snr_db, trials=70, seed=17 + n,
+                          list_size=4 if mode == "list" else None)
+        native = _dump(run_trials(cfg, parallel=parallel, keep_per_trial=True))
+        monkeypatch.setattr(_native, "ENABLED", False)
+        assert _dump(run_trials(cfg, parallel=parallel, keep_per_trial=True)) == native
+
+    @pytest.mark.parametrize("n, snr_db, modes", [
+        (8, 30.0, (True, False)), (6, 40.0, (True, False)), (16, 40.0, (True,)),
+    ])
+    def test_gaussian_chunks_match_the_python_walk(self, n, snr_db, modes):
+        # about one walk in 2,000 here forms a square whose libm pow and x*x
+        # differ in the last bit, so a build that lets the compiler fold
+        # pow(x, 2.0) into x*x fails here
+        h = bench._draw_rows(5, 0, 2000, n)
+        _, _, t, _, _, f, q = _channel_rows(h, 10.0 ** (snr_db / 10.0))
+        for shrink in modes:
+            assert_walks_match(t, f, q, shrink)
+
+    @pytest.mark.parametrize("t_raw", [
+        [0.84, 0.5257142857142859],
+        [0.75, 0.5, 0.375],
+        [0.75, 0.4375, 0.4375],
+        [0.875, 0.3125, 0.3125, 0.1875],
+    ])
+    def test_tied_centres_match_the_python_walk(self, t_raw):
+        # exact .5 centres, which the walk rounds toward zero: in the opening
+        # climb (the first row) and in the main loop (the others)
+        sc = scaled_from_t(t_raw)
+        for shrink in (True, False):
+            assert_walks_match(sc.t[None], sc.f[None], sc.q[None], shrink)
+
+    def test_integer_centre_steps_up_first(self):
+        # a hand-made row with integer centres: there the zig-zag tries the
+        # centre + 1 before the centre - 1, and on this row that order
+        # decides which of two vectors of equal objective is the incumbent
+        t, f, q = np.array([[3.0, 1.5, 1.0, 1.0]]), np.ones((1, 5)), np.array([[0.87, 0.19, 0.34, 0.16]])
+        assert_walks_match(t, f, q, shrink=True)
+
+    @pytest.mark.parametrize("t0, q1", [(1.3794676827539902, 0.856004277745317),
+                                        (1.4010717752718165, 0.8391414310803135)])
+    def test_opening_squares_like_python(self, t0, q1):
+        # hand-made rows on which the opening climb's test at level 1,
+        # q[1] + q[0]*(1 - t[0])**2 < q[0], comes out one way with libm pow
+        # and the other with (1 - t[0])*(1 - t[0])
+        t, f, q = np.array([[t0, 1.0]]), np.array([[1.0, 1.0, 1.0]]), np.array([[1.0, q1]])
+        assert (q1 + (1.0 - t0) ** 2 < 1.0) != (q1 + (1.0 - t0) * (1.0 - t0) < 1.0)
+        for shrink in (True, False):
+            assert_walks_match(t, f, q, shrink)
+
+    @pytest.mark.parametrize("t, f, q, error", [
+        # the opening climb hands over at level 1 and never reads level 2;
+        # the walk later steps a[2] to 1 and descends to a centre
+        # t[1]*t[2]/f[2] that is not finite
+        ([0.6, 0.5, 0.4], [1.0, 0.9, 0.0, 0.0], [0.9, 0.1, 0.1], ZeroDivisionError),
+        ([0.6, 0.5, 0.4], [1.0, 0.9, 5e-324, 5e-324], [0.9, 0.1, 0.1], OverflowError),
+        ([0.6, 0.5, math.nan], [1.0, 0.9, 0.5, 0.5], [0.9, 0.1, 0.1], ValueError),
+        # the opening climb's own centre at level 1 is infinite
+        ([0.6, 0.5, 0.4], [1.0, 5e-324, 0.5, 0.5], [0.9, 0.5, 0.95], OverflowError),
+    ])
+    def test_hand_back_keeps_python_errors(self, t, f, q, error):
+        # hand-made rows, where the Python walk raises: the compiled walk
+        # must hand them back, so that the same error is raised
+        t, f, q = np.array([t]), np.array([f]), np.array([q])
+        with pytest.raises(error):
+            search._constrained_walk(t[0], f[0], q[0], True)
+        with pytest.raises(error):
+            search._walk_rows(t, f, q, [0], shrink=True)
+
+    @pytest.mark.parametrize("shrink", [True, False])
+    def test_hand_back_at_two_to_the_53_in_the_zig_zag(self, shrink):
+        # a hand-made row whose level 1 zig-zags around the centre 2**53 - 6
+        # and reaches 2**53 on its sixth step, past which a double cannot
+        # hold every integer (2**53 + 1 rounds to 2**53): the compiled walk
+        # hands the row back, and the counts agree
+        f2 = 0.25 / (2.0**53 - 6)
+        t, f, q = np.array([[1e-20, 0.5, 0.5]]), np.array([[1.0, 1.0, f2, f2]]), np.array([[1.0, 0.01, 0.3]])
+        assert_walks_match(t, f, q, shrink)
+
+    def test_hand_back_beyond_two_to_the_53(self, monkeypatch):
+        # WIDE_H's walk at 10 dB reaches entries beyond 2**53 (its optimum is
+        # beyond int64): the compiled walk hands that row back to the Python
+        # walk, and walks the other row itself
+        h = np.array([WIDE_H, sample_channel(5, trial_rng(3, 0))])
+        _, _, t, _, _, f, q = _channel_rows(h, 10.0)
+        real, calls = search._constrained_walk, []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_constrained_walk", recording)
+        bests, lasts, nodes = search._walk_rows(t, f, q, [0, 1], shrink=True)
+        assert len(calls) == (1 if _native.walker() is not None else 2)
+        for r in range(2):
+            best, incumbents, tests = real(t[r], f[r], q[r], True)
+            assert bests[r] is not None and list(bests[r]) == best
+            assert (lasts[r], nodes[r]) == (incumbents[-1], tests)
+        assert max(bests[0]) > 2**63
+        # and the chunk records solve's int64 error with either form
+        cfg = TrialConfig(mode="solve", n=5, snr_db=10.0, trials=6, seed=7)
+        TestRunTrials._replace_trial(monkeypatch, cfg, 2, WIDE_H)
+        native = _dump(run_trials(cfg, keep_per_trial=True))
+        assert json.loads(native)[0]["degenerate_trials"] == [2]
+        monkeypatch.setattr(_native, "ENABLED", False)
+        assert _dump(run_trials(cfg, keep_per_trial=True)) == native
+
+    @pytest.mark.parametrize("rows, shapes", [
+        ([2], ((2, 3), (2, 4), (2, 3))),
+        ([-1], ((2, 3), (2, 4), (2, 3))),
+        ([0], ((2, 3), (2, 3), (2, 3))),
+        ([0], ((2, 3), (2, 4), (1, 3))),
+    ])
+    def test_rows_and_shapes_are_checked(self, rows, shapes):
+        # the compiled walk reads the rows through raw pointers
+        t, f, q = (np.full(shape, 0.5) for shape in shapes)
+        with pytest.raises(ValueError, match="rows"):
+            search._walk_rows(t, f, q, rows, shrink=True)
+
+    @pytest.mark.parametrize("broken", ["missing compiler", "cache under a file"])
+    def test_fallback_when_the_walk_cannot_be_built(self, monkeypatch, tmp_path, broken):
+        compiler, cache = _native._COMPILER, tmp_path / "cache"
+        if broken == "missing compiler":
+            compiler = str(tmp_path / "no-such-cc")
+        else:
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "cache"
+        assert _native._load(compiler, cache) is None
+        configs = [TrialConfig(mode="rate_avg", n=8, snr_db=20.0, trials=60, seed=3),
+                   TrialConfig(mode="node_ratio", n=4, snr_db=0.0, trials=60, seed=3)]
+        expected = [_dump(run_trials(cfg, keep_per_trial=True)) for cfg in configs]
+        monkeypatch.setattr(_native, "_COMPILER", compiler)
+        monkeypatch.setattr(_native, "_CACHE", cache)
+        monkeypatch.setattr(_native, "_walker", _native._UNLOADED)
+        assert _native.walker() is None
+        assert [_dump(run_trials(cfg, keep_per_trial=True)) for cfg in configs] == expected
+        assert list(tmp_path.rglob("_walk.*")) == []

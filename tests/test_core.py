@@ -402,6 +402,17 @@ class TestComputationRate:
         with pytest.raises(ValueError, match="finite integer"):
             computation_rate(ch, a)
 
+    @pytest.mark.parametrize("a", [
+        [2**53 + 1, 0], np.array([2**53 + 1, 0]), np.array([2**64 - 1, 0], dtype=np.uint64),
+    ])
+    def test_inexact_integer_entry_rejected(self, a):
+        # the float cast would rate [2**53 + 1, 0] as its neighbour [2**53, 0]
+        ch = ChannelInstance(h=[1.0, 1e-9], P=1e6)
+        with pytest.raises(ValueError, match="a has an integer entry that a float cannot hold exactly"):
+            computation_rate(ch, a)
+        # an integer a float holds exactly is rated as before, however large
+        assert computation_rate(ch, np.array([2**60, 0])) == computation_rate(ch, [2.0**60, 0.0])
+
     def test_integral_floats_accepted(self):
         ch = ChannelInstance(h=[0.8, -1.4, 0.3], P=10.0)
         assert computation_rate(ch, [1.0, -2.0, 0.0]) == computation_rate(ch, [1, -2, 0])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cfcoef import ChannelInstance, ScaledChannel, list_solve, solve
 from cfcoef.core import _channel_rows
+from conftest import assert_walks_match
 
 FLOAT_MAX = np.finfo(np.float64).max
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
@@ -104,6 +105,23 @@ def test_channel_rows_need_no_check(chunk):
             assert rows[i].tobytes() == getattr(sc, name).tobytes()
         assert np.array_equal(order[i], sc.perm.perm)
         assert np.array_equal(sign[i], sc.perm.sign)
+
+
+@PROPERTY
+@given(edge_chunks())
+def test_walk_forms_agree(chunk):
+    # the chunk walk (compiled where it loads) and the Python walk give the
+    # same best, last incumbent (bits) and node count in both modes.  A walk
+    # sees only each row's direction and P*||h||^2, and at the chunks' own
+    # effective SNRs, up to about 10**600, neither form ends (the walk has no
+    # work bound), so each row is scaled by a power of two, which keeps its
+    # zeros and ties, and P is cut so that no P*||h||^2 exceeds 60 dB
+    H, P = chunk
+    G = np.ldexp(H, -np.frexp(np.abs(H).max(axis=1))[1][:, None])
+    P = min(P, 1e6 / float((G * G).sum(axis=1).max()))
+    _, _, t, _, _, f, q = _channel_rows(G, P)
+    for shrink in (True, False):
+        assert_walks_match(t, f, q, shrink)
 
 
 @PROPERTY
