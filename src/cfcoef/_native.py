@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-# False makes walker() return None, so every caller runs the Python walk
-ENABLED = True
-
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 _SOURCE = Path(__file__).with_name("_walk.c")
@@ -28,10 +25,8 @@ _walker = _UNLOADED
 
 
 def walker():
-    """The compiled chunk walk, or None if it is switched off or cannot be had."""
+    """The compiled chunk walk, or None if it cannot be had."""
     global _walker
-    if not ENABLED:
-        return None
     if _walker is _UNLOADED:
         _walker = _load(_COMPILER, _CACHE)
     return _walker

@@ -262,24 +262,19 @@ def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
     entry beyond int64 before a degenerate form; ``rates[i]`` is then nan.
     """
     m, n = t.shape
-    bests, nodes, errors = [None] * m, [0] * m, [None] * m
     rows = np.flatnonzero(~hits)
-    for i, best, _, count in zip(rows.tolist(), *_walk_rows(t, f, q, rows, shrink=True)):
-        bests[i], nodes[i] = best, count
-    walked = [i for i, best in enumerate(bests) if best is not None]
-    try:
-        coefs = np.array([bests[i] for i in walked], dtype=np.int64)
-    except OverflowError:
-        for i in walked:
-            try:
-                _coefficients(bests[i], n)
-            except NumericDegeneracyError as exc:
-                errors[i] = str(exc)
-        walked = [i for i in walked if errors[i] is None]
-        coefs = np.array([bests[i] for i in walked], dtype=np.int64)
-    a = np.zeros((len(walked), n), dtype=np.int64)
-    a[np.arange(len(walked))[:, None], order[walked]] = sign[walked] * coefs.reshape(a.shape)
-    unit = [i for i, best in enumerate(bests) if best is None]
+    best, moved, tests, _, wide = _walk_rows(t, f, q, rows, shrink=True)
+    nodes, errors = np.zeros(m, dtype=np.int64), [None] * m
+    nodes[rows] = tests
+    for r, message in wide.items():
+        errors[rows[r]] = message
+    fits = moved.copy()
+    fits[list(wide)] = False
+    walked = rows[fits]
+    a = np.zeros((walked.size, n), dtype=np.int64)
+    a[np.arange(walked.size)[:, None], order[walked]] = sign[walked] * best[fits]
+    unit = hits.copy()
+    unit[rows[~moved]] = True
     forms = np.full(m, np.nan)
     with np.errstate(over="ignore"):
         forms[unit] = _unit_form(h[unit, order[unit, 0]], P, hnorm2[unit])
@@ -291,7 +286,7 @@ def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
                 rates[i] = _rate(form)
             except NumericDegeneracyError as exc:
                 errors[i] = str(exc)
-    return rates, nodes, errors
+    return rates, nodes.tolist(), errors
 
 
 def _dominance_denominators(h: np.ndarray, P: float, hnorm2: np.ndarray, t_raw: np.ndarray) -> np.ndarray:
@@ -359,7 +354,7 @@ def _run_chunk(args) -> list:
     if mode == "e1_freq":
         return [({"trial": j, "hit": hit}, None) for j, hit in zip(trials, hits.astype(int).tolist())]
     if mode == "node_ratio":
-        nodes = [tests - 1 for tests in _walk_rows(t, f, q, range(len(t)), shrink=False)[2]]
+        nodes = (_walk_rows(t, f, q, range(len(t)), shrink=False)[2] - 1).tolist()
         return [({"trial": j, "nodes": k, "ratio": k / (n * math.sqrt(1.0 + P * x))}, None)
                 for j, k, x in zip(trials, nodes, hnorm2.tolist())]
     if mode == "list":
@@ -435,7 +430,8 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     The pool pays a fixed cost to start its workers, so small runs finish
     sooner serially; README's "Determinism" section gives a measurement.  In
     the pool, the first chunk to raise ends the run: the chunks not yet
-    started are cancelled and its error is raised once the running ones end.
+    started are cancelled, the running ones end, and the error of the first
+    failed chunk in trial order, the serial run's error, is raised.
 
     Raises
     ------
@@ -458,11 +454,11 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
         with ProcessPoolExecutor(max_workers=min(parallel, len(chunks), cpus or 1)) as pool:
             futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
             wait(futures, return_when=FIRST_EXCEPTION)
-            # the first error stops the run: chunks not yet started are dropped
-            failed = [fut for fut in futures if fut.done() and fut.exception() is not None]
-            if failed:
-                pool.shutdown(cancel_futures=True)
-                raise failed[0].exception()
+            # after an error the chunks not yet started are dropped and the
+            # running ones end; chunks start in trial order, so the first
+            # failed chunk precedes every dropped one, and its error is the
+            # one a serial run raises
+            pool.shutdown(cancel_futures=True)
             parts = [fut.result() for fut in futures]
     else:
         parts = [_run_chunk(chunk) for chunk in chunks]

@@ -351,6 +351,9 @@ def cholesky_factor(sc: ScaledChannel) -> np.ndarray:
     return R
 
 
+_INEXACT_ENTRY = "a has an integer entry that a float cannot hold exactly"
+
+
 def computation_rate(ch: ChannelInstance, a) -> float:
     """Computation rate in bits per channel use for integer combination ``a``.
 
@@ -363,23 +366,27 @@ def computation_rate(ch: ChannelInstance, a) -> float:
     ValueError
         If ``a`` is not a length-``n`` vector of finite integers (integral
         floats are accepted, booleans and strings are not) or is zero; or
-        if ``a`` is an integer array with an entry that a float cannot hold
-        exactly (as some beyond ``2**53`` are): "a has an integer entry that
-        a float cannot hold exactly".
+        if ``a`` has an integer entry that a float cannot hold exactly (as
+        some beyond ``2**53`` are, and all beyond the float range): "a has
+        an integer entry that a float cannot hold exactly".
     NumericDegeneracyError
         If the denominator evaluates to a nonpositive float or to nan, as
         it does when ``||a||^2`` and ``P (h'a)^2`` both overflow.
     """
     v = _real_array(a, "a")
-    af = _as_vector(v, "a")
+    try:
+        af = v.astype(np.float64, copy=False)
+    except OverflowError:
+        raise ValueError(_INEXACT_ENTRY) from None
     if af.shape != ch.h.shape:
         raise ValueError(f"a must have length {ch.n}")
     if not (np.isfinite(af) & (af == np.rint(af))).all():
         raise ValueError("a must have finite integer entries")
-    # the float cast rounds an integer beyond 2**53 to a neighbour; Python
-    # compares a float with an int exactly
-    if v.dtype.kind in "iu" and af.tolist() != v.tolist():
-        raise ValueError("a has an integer entry that a float cannot hold exactly")
+    # the float cast rounds an integer beyond 2**53 to a neighbour, in an
+    # integer array or in an object array of Python ints; Python compares a
+    # float with an int or a Fraction exactly
+    if v.dtype.kind in "iuO" and af.tolist() != v.tolist():
+        raise ValueError(_INEXACT_ENTRY)
     if not af.any():
         raise ValueError("the zero coefficient vector has no rate")
     # an overflow in the dots is silent, as it is in the Python floats

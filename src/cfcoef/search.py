@@ -267,38 +267,47 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
 
 def _walk_rows(t: np.ndarray, f: np.ndarray, q: np.ndarray, rows, shrink: bool) -> tuple:
     """:func:`_constrained_walk` on rows ``rows`` of a chunk's ``(m, n)`` ``t``,
-    ``(m, n+1)`` ``f`` and ``(m, n)`` ``q``, as lists ``(bests, lasts, nodes)``
-    aligned with ``rows``: each walk's ``best``, last incumbent and radius tests.
+    ``(m, n+1)`` ``f`` and ``(m, n)`` ``q``, as arrays aligned with ``rows``.
+
+    Returns ``(best, moved, nodes, last, wide)``: ``best[r]`` is walk ``r``'s
+    best vector as an int64 row, ``moved[r]`` is False where that is the
+    first unit vector, ``nodes[r]`` counts its radius tests and ``last[r]``
+    is its last incumbent, which only the tests comparing the two walk forms
+    read.
+    ``wide`` maps each ``r`` whose best does not fit in int64 to the message
+    of :func:`_coefficients`' ``NumericDegeneracyError``; its ``best[r]`` is
+    zero.
 
     The rows run in one call of the compiled walk (:mod:`cfcoef._native`)
-    where it loads, and a ``best`` from it is an int64 row; the rows it hands
-    back, and every row where it does not load, run :func:`_constrained_walk`.
+    where it loads; the rows it hands back, and every row where it does not
+    load, run :func:`_constrained_walk`.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     m, n = t.shape
     # the C walk reads each listed row's t, f and q through raw pointers
     if f.shape != (m, n + 1) or q.shape != (m, n) or not ((rows >= 0) & (rows < m)).all():
         raise ValueError(f"rows {rows} of t, f, q with shapes {t.shape}, {f.shape}, {q.shape}")
-    walk = _native.walker()
     count = rows.size
-    if walk is None:
-        redo, bests, lasts, nodes = range(count), [None] * count, [0.0] * count, [0] * count
-    else:
+    best = np.zeros((count, n), dtype=np.int64)
+    moved, status = np.empty(count, dtype=np.int8), np.ones(count, dtype=np.int8)
+    nodes, last = np.empty(count, dtype=np.int64), np.empty(count)
+    walk = _native.walker()
+    if walk is not None:
         t, f, q = (np.ascontiguousarray(x, dtype=np.float64) for x in (t, f, q))
-        best = np.empty((count, n), dtype=np.int64)
-        moved, status = np.empty(count, dtype=np.int8), np.empty(count, dtype=np.int8)
-        tests, last = np.empty(count, dtype=np.int64), np.empty(count)
         walk(n, count, rows.ctypes.data, t.ctypes.data, f.ctypes.data, q.ctypes.data,
-             int(shrink), best.ctypes.data, moved.ctypes.data, tests.ctypes.data,
+             int(shrink), best.ctypes.data, moved.ctypes.data, nodes.ctypes.data,
              last.ctypes.data, status.ctypes.data)
-        bests = [row if go else None for row, go in zip(best, moved.tolist())]
-        lasts, nodes = last.tolist(), tests.tolist()
-        redo = np.flatnonzero(status).tolist()
-    for r in redo:
+    wide = {}
+    for r in np.flatnonzero(status).tolist():
         i = rows[r]
-        bests[r], incumbents, nodes[r] = _constrained_walk(t[i], f[i], q[i], shrink)
-        lasts[r] = incumbents[-1]
-    return bests, lasts, nodes
+        found, incumbents, nodes[r] = _constrained_walk(t[i], f[i], q[i], shrink)
+        last[r], moved[r] = incumbents[-1], found is not None
+        try:
+            best[r] = _coefficients(found, n)
+        except NumericDegeneracyError as exc:
+            best[r] = 0
+            wide[r] = str(exc)
+    return best, moved.view(bool), nodes, last, wide
 
 
 def modified_search(sc: ScaledChannel) -> SearchResult:

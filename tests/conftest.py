@@ -90,13 +90,14 @@ def assert_walks_match(t, f, q, shrink: bool) -> None:
     count."""
     from cfcoef.search import _constrained_walk, _walk_rows
 
-    bests, lasts, nodes = _walk_rows(t, f, q, range(len(t)), shrink)
-    for i, (best, last, count) in enumerate(zip(bests, lasts, nodes)):
+    best, moved, nodes, last, wide = _walk_rows(t, f, q, range(len(t)), shrink)
+    assert wide == {}
+    for i in range(len(t)):
         ref, incumbents, tests = _constrained_walk(t[i], f[i], q[i], shrink)
-        assert (best is None) == (ref is None), i
-        assert best is None or list(best) == ref, i
-        assert float(last).hex() == float(incumbents[-1]).hex(), i
-        assert count == tests, i
+        assert moved[i] == (ref is not None), i
+        assert best[i].tolist() == (ref or [1] + [0] * (len(best[i]) - 1)), i
+        assert float(last[i]).hex() == float(incumbents[-1]).hex(), i
+        assert nodes[i] == tests, i
 
 
 def same_up_to_sign(a, b) -> bool:

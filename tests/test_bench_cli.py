@@ -271,6 +271,17 @@ class TestRunTrials:
             run_trials(cfg, parallel=2)
         assert time.perf_counter() - start < 4.0
 
+    def test_pool_raises_the_first_chunk_error_in_trial_order(self, monkeypatch):
+        # chunk 0 raises after 0.5 s and chunk 1 at once: the run raises chunk
+        # 0's error, as a serial run does, whichever chunk fails first
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(bench, "_run_chunk", _fail_two_chunks)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = TrialConfig(mode="e1_freq", n=2, snr_db=0.0, trials=16, seed=1)
+        with pytest.raises(ValueError, match="chunk 0 failed"):
+            run_trials(cfg, parallel=2)
+
     def test_pool_never_outnumbers_trials(self, monkeypatch):
         requested = self._recording_pool(monkeypatch, cpus=1000)
         cfg = TrialConfig(mode="rate_avg", n=3, snr_db=10.0, trials=3, seed=8)
@@ -298,6 +309,17 @@ def _fail_first_chunk(args):
     if args[-2] == 0:
         raise ValueError("chunk 0 failed")
     time.sleep(1.0)
+    return []
+
+
+def _fail_two_chunks(args):
+    """A stand-in for ``bench._run_chunk``: the chunk from trial 0 raises
+    after 0.5 s, the chunk from trial 1 at once, the others sleep 1 s."""
+    if args[-2] == 1:
+        raise ZeroDivisionError("chunk 1 failed")
+    time.sleep(0.5 if args[-2] == 0 else 1.0)
+    if args[-2] == 0:
+        raise ValueError("chunk 0 failed")
     return []
 
 
@@ -889,7 +911,7 @@ class TestCompiledWalk:
         cfg = TrialConfig(mode=mode, n=n, snr_db=snr_db, trials=70, seed=17 + n,
                           list_size=4 if mode == "list" else None)
         native = _dump(run_trials(cfg, parallel=parallel, keep_per_trial=True))
-        monkeypatch.setattr(_native, "ENABLED", False)
+        monkeypatch.setattr(_native, "_walker", None)
         assert _dump(run_trials(cfg, parallel=parallel, keep_per_trial=True)) == native
 
     @pytest.mark.parametrize("n, snr_db, modes", [
@@ -977,19 +999,21 @@ class TestCompiledWalk:
             return real(*args)
 
         monkeypatch.setattr(search, "_constrained_walk", recording)
-        bests, lasts, nodes = search._walk_rows(t, f, q, [0, 1], shrink=True)
+        best, moved, nodes, last, wide = search._walk_rows(t, f, q, [0, 1], shrink=True)
         assert len(calls) == (1 if _native.walker() is not None else 2)
-        for r in range(2):
-            best, incumbents, tests = real(t[r], f[r], q[r], True)
-            assert bests[r] is not None and list(bests[r]) == best
-            assert (lasts[r], nodes[r]) == (incumbents[-1], tests)
-        assert max(bests[0]) > 2**63
+        refs = [real(t[r], f[r], q[r], True) for r in range(2)]
+        for r, (_, incumbents, tests) in enumerate(refs):
+            assert moved[r] and (last[r], nodes[r]) == (incumbents[-1], tests)
+        # row 0's best is beyond int64: it carries solve's int64 error instead
+        assert max(refs[0][0]) > 2**63 and best[0].tolist() == [0] * 5
+        assert list(wide) == [0] and "does not fit in int64" in wide[0]
+        assert best[1].tolist() == refs[1][0]
         # and the chunk records solve's int64 error with either form
         cfg = TrialConfig(mode="solve", n=5, snr_db=10.0, trials=6, seed=7)
         TestRunTrials._replace_trial(monkeypatch, cfg, 2, WIDE_H)
         native = _dump(run_trials(cfg, keep_per_trial=True))
         assert json.loads(native)[0]["degenerate_trials"] == [2]
-        monkeypatch.setattr(_native, "ENABLED", False)
+        monkeypatch.setattr(_native, "_walker", None)
         assert _dump(run_trials(cfg, keep_per_trial=True)) == native
 
     @pytest.mark.parametrize("rows, shapes", [
@@ -1003,6 +1027,17 @@ class TestCompiledWalk:
         t, f, q = (np.full(shape, 0.5) for shape in shapes)
         with pytest.raises(ValueError, match="rows"):
             search._walk_rows(t, f, q, rows, shrink=True)
+
+    def test_strided_rows_are_read_as_listed(self):
+        # a reversed or strided view of row indices is walked row by row as
+        # listed, not read from the view's memory as if it were contiguous
+        h = bench._draw_rows(9, 0, 12, 6)
+        _, _, t, _, _, f, q = _channel_rows(h, 100.0)
+        rows = np.arange(12)[::-3]
+        got = search._walk_rows(t, f, q, rows, shrink=True)
+        want = search._walk_rows(t, f, q, rows.tolist(), shrink=True)
+        for a, b in zip(got[:4], want[:4]):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("broken", ["missing compiler", "cache under a file"])
     def test_fallback_when_the_walk_cannot_be_built(self, monkeypatch, tmp_path, broken):

@@ -404,6 +404,7 @@ class TestComputationRate:
 
     @pytest.mark.parametrize("a", [
         [2**53 + 1, 0], np.array([2**53 + 1, 0]), np.array([2**64 - 1, 0], dtype=np.uint64),
+        [2**64 + 1, 0], [10**400, 0],
     ])
     def test_inexact_integer_entry_rejected(self, a):
         # the float cast would rate [2**53 + 1, 0] as its neighbour [2**53, 0]
