@@ -1,14 +1,17 @@
-"""The compiled form of the constrained walk, ``_walk.c``, built on first use.
+"""The compiled forms of the constrained walk and of the chunk draw, built on first use.
 
-:func:`walker` returns its entry point ``cf_walk_rows``, loaded with
-:mod:`ctypes`, or None.  The first call in a process compiles ``_walk.c``
-with the system C compiler into this package's ``__pycache__`` directory,
-under a name that hashes the source, the compiler and its flags, unless
-that file is there already; it is written under a temporary name and then
-renamed, so processes that build it at once do not clash.  Any failure (no
-compiler, a directory that cannot be written, a library that does not load)
-gives None, and the callers run the Python walk.  Nothing here runs at
-import.
+:func:`walker` returns ``cf_walk_rows`` from ``_walk.c`` and :func:`drawer`
+returns ``cf_draw_rows`` from ``_draw.c``, which links numpy's normal kernel
+from the installed ``numpy/random/lib/libnpyrandom.a``; each is loaded with
+:mod:`ctypes` from its own library, or is None.  The first call in a process
+compiles the source with the system C compiler into this package's
+``__pycache__`` directory, under a name that hashes the source, the compiler
+and its flags, numpy's version and the link inputs, unless that file is
+there already; it is written under a temporary name and then renamed, so
+processes that build it at once do not clash.  Any failure (no compiler, no
+archive, a link error, a directory that cannot be written, a library that
+does not load) gives None for that library alone, and the callers run the
+Python form.  Nothing here runs at import.
 """
 
 from __future__ import annotations
@@ -17,23 +20,42 @@ from pathlib import Path
 
 _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
-_SOURCE = Path(__file__).with_name("_walk.c")
 _CACHE = Path(__file__).with_name("__pycache__")
+
+# (source stem, symbol, argument types as ctypes names)
+_WALK = ("_walk", "cf_walk_rows", ("c_int64",) * 2 + ("c_void_p",) * 4 + ("c_int",) + ("c_void_p",) * 5)
+_DRAW = ("_draw", "cf_draw_rows", ("c_int64", "c_int64", "c_void_p", "c_void_p"))
 
 _UNLOADED = object()
 _walker = _UNLOADED
+_drawer = _UNLOADED
 
 
 def walker():
     """The compiled chunk walk, or None if it cannot be had."""
     global _walker
     if _walker is _UNLOADED:
-        _walker = _load(_COMPILER, _CACHE)
+        _walker = _load(_COMPILER, _CACHE, *_WALK)
     return _walker
 
 
-def _load(compiler: str, cache: Path):
-    """``cf_walk_rows`` compiled by ``compiler`` into ``cache``, or None."""
+def drawer():
+    """The compiled chunk draw, or None if it cannot be had."""
+    global _drawer
+    if _drawer is _UNLOADED:
+        _drawer = _load(_COMPILER, _CACHE, *_DRAW, link=(str(_npyrandom()),))
+    return _drawer
+
+
+def _npyrandom() -> Path:
+    """The installed numpy's static library of its random distributions."""
+    import numpy as np
+
+    return Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+
+
+def _load(compiler: str, cache: Path, stem: str, symbol: str, argtypes: tuple, link: tuple = ()):
+    """``symbol`` of ``stem``.c linked with ``link``, compiled by ``compiler`` into ``cache``, or None."""
     import ctypes
     import hashlib
     import os
@@ -41,26 +63,27 @@ def _load(compiler: str, cache: Path):
     import subprocess
     import tempfile
 
+    import numpy as np
+
+    source = Path(__file__).with_name(f"{stem}.c")
     try:
-        key = hashlib.sha256(_SOURCE.read_bytes())
-        key.update(repr((compiler, _FLAGS, platform.machine())).encode())
-        lib = cache / f"_walk.{key.hexdigest()[:16]}.so"
+        key = hashlib.sha256(source.read_bytes())
+        key.update(repr((compiler, _FLAGS, platform.machine(), np.__version__, link)).encode())
+        lib = cache / f"{stem}.{key.hexdigest()[:16]}.so"
         if not lib.exists():
             cache.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix="_walk.", suffix=".tmp", dir=cache)
+            fd, tmp = tempfile.mkstemp(prefix=f"{stem}.", suffix=".tmp", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([compiler, *_FLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                subprocess.run([compiler, *_FLAGS, "-o", tmp, str(source), *link, "-lm"],
                                check=True, capture_output=True)
                 os.replace(tmp, lib)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        walk = ctypes.CDLL(str(lib)).cf_walk_rows
+        fn = getattr(ctypes.CDLL(str(lib)), symbol)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    ptr = ctypes.c_void_p
-    walk.argtypes = (ctypes.c_int64, ctypes.c_int64, ptr, ptr, ptr, ptr, ctypes.c_int,
-                     ptr, ptr, ptr, ptr, ptr)
-    walk.restype = None
-    return walk
+    fn.argtypes = tuple(getattr(ctypes, name) for name in argtypes)
+    fn.restype = None
+    return fn

@@ -10,7 +10,10 @@ serial run is as few chunks as that cap allows, and a pooled run gives each
 worker about eight.  A chunk derives every trial's PCG64 seed words from
 ``SeedSequence([seed, j])`` in one vectorized pass and draws its channels
 into one ``(m, n)`` array, bit for bit the draws of :func:`trial_rng`,
-which remains the one-trial reference.  The chunk checks its channels (they
+which remains the one-trial reference: in one call of the compiled draw
+(:mod:`cfcoef._native`), which seeds a C port of PCG64 from each trial's
+words and fills its row by numpy's own normal kernel, or, where that does
+not load, by one ``Generator`` per trial.  The chunk checks its channels (they
 skip :class:`ChannelInstance`), builds all its canonical rows with the
 builder call ``solve`` and ``list_solve`` make, and tests the first unit
 vector on all of them in one more call.  The ``solve``, ``rate_avg`` and
@@ -46,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .core import (
     NumericDegeneracyError,
     _channel_rows,
@@ -240,11 +244,19 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The ``(hi-lo, n)`` channels of trials ``lo..hi-1``, bit for bit those of
     ``sample_channel(n, trial_rng(seed, j))``: each trial's ``PCG64`` seeds
-    from its :func:`_seed_words` and draws its row in place.
+    from its :func:`_seed_words` and draws its row in place, all rows in one
+    call of the compiled draw (:mod:`cfcoef._native`) where it loads, and
+    otherwise one ``Generator`` per row.
     """
     h = np.empty((hi - lo, n))
-    for row, words in zip(h, np.ascontiguousarray(_seed_words(seed, lo, hi))):
-        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
+    # the C draw reads each trial's four words through a raw pointer
+    words = np.ascontiguousarray(_seed_words(seed, lo, hi), dtype=np.uint64)
+    draw = _native.drawer()
+    if draw is not None:
+        draw(hi - lo, n, words.ctypes.data, h.ctypes.data)
+        return h
+    for row, w in zip(h, words):
+        np.random.Generator(np.random.PCG64(_SeedWords(w))).standard_normal(out=row)
     return h
 
 
@@ -440,7 +452,7 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
     """
     _require_count(parallel, "parallel")
     start = time.perf_counter()
-    # each chunk pays a fixed cost (seed hashing, the generator, the builder),
+    # each chunk pays a fixed cost (seed hashing, the draw, the builder),
     # so a serial run pays it as few times as the cap allows
     size = cfg.trials if parallel == 1 else cfg.trials // (parallel * 8)
     size = max(1, min(size, _CHUNK_ENTRIES // cfg.n))

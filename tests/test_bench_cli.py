@@ -585,14 +585,23 @@ class TestDominanceCounts:
         assert errors == ["int64", None]
 
 
-_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1]
 
-# chunks at the start, in the middle, and across the two-word trial index 2**32
-_SPANS = [(0, 4), (13, 29), (2**32 - 3, 2**32 + 3)]
+# chunks at the start, in the middle, across the two-word trial index 2**32,
+# and beyond 2**33
+_SPANS = [(0, 4), (13, 29), (2**32 - 3, 2**32 + 3), (2**33 + 7, 2**33 + 10)]
 
 
 def _public_draws(seed, lo, hi, n):
     return np.stack([sample_channel(n, trial_rng(seed, j)) for j in range(lo, hi)])
+
+
+def _draws_by_form(seed, lo, hi, n):
+    """``bench._draw_rows`` by the compiled draw, where it loads, and by the Python loop."""
+    compiled = bench._draw_rows(seed, lo, hi, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_drawer", None)
+        return compiled, bench._draw_rows(seed, lo, hi, n)
 
 
 def _public_seed_words(seed, lo, hi):
@@ -601,17 +610,26 @@ def _public_seed_words(seed, lo, hi):
 
 
 class TestChunkDrawer:
-    """A chunk seeds all its trials in one vectorized pass; its draws must
-    be bit for bit those of the public ``trial_rng`` streams."""
+    """A chunk seeds all its trials in one vectorized pass; its draws, by the
+    compiled draw (``cfcoef._native``) and by the Python loop, must be bit
+    for bit those of the public ``trial_rng`` streams.  CI requires the
+    compiled draw to load, so that these check two forms."""
 
     @pytest.mark.parametrize("n", [1, 8, 1000])
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_rows_match_trial_rng(self, seed, n):
         for lo, hi in _SPANS:
-            rows = bench._draw_rows(seed, lo, hi, n)
-            assert rows.shape == (hi - lo, n) and rows.dtype == np.float64
-            np.testing.assert_array_equal(rows.view(np.uint64),
-                                          _public_draws(seed, lo, hi, n).view(np.uint64))
+            want = _public_draws(seed, lo, hi, n).view(np.uint64)
+            for rows in _draws_by_form(seed, lo, hi, n):
+                assert rows.shape == (hi - lo, n) and rows.dtype == np.float64
+                np.testing.assert_array_equal(rows.view(np.uint64), want)
+
+    def test_a_million_entries_match_trial_rng(self):
+        # about 7 draws in 1,000 leave the ziggurat's fast path for its
+        # wedge or its tail, which read next_double
+        seed, n = 2**63 + 12345, 1000
+        np.testing.assert_array_equal(bench._draw_rows(seed, 0, 1000, n).view(np.uint64),
+                                      _public_draws(seed, 0, 1000, n).view(np.uint64))
 
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_seed_words_match_seed_sequence(self, seed):
@@ -635,12 +653,48 @@ class TestChunkDrawer:
             np.random.MT19937(seq)
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**33 - 1), st.integers(1, 5))
-    def test_any_seed_and_trial(self, seed, lo, m):
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 5), st.integers(1, 9))
+    def test_any_seed_and_trial(self, seed, lo, m, n):
         np.testing.assert_array_equal(bench._seed_words(seed, lo, lo + m),
                                       _public_seed_words(seed, lo, lo + m))
-        np.testing.assert_array_equal(bench._draw_rows(seed, lo, lo + m, 3).view(np.uint64),
-                                      _public_draws(seed, lo, lo + m, 3).view(np.uint64))
+        want = _public_draws(seed, lo, lo + m, n).view(np.uint64)
+        for rows in _draws_by_form(seed, lo, lo + m, n):
+            np.testing.assert_array_equal(rows.view(np.uint64), want)
+
+    @pytest.mark.parametrize("broken", ["missing archive", "link error", "missing compiler"])
+    def test_fallback_when_the_draw_cannot_be_built(self, monkeypatch, tmp_path, broken):
+        compiler, archive = _native._COMPILER, tmp_path / "libnpyrandom.a"
+        if broken == "link error":
+            archive.write_text("not an archive")
+        elif broken == "missing compiler":
+            compiler, archive = str(tmp_path / "no-such-cc"), _native._npyrandom()
+        configs = [TrialConfig(mode=mode, n=6, snr_db=20.0, trials=40, seed=3,
+                               list_size=4 if mode == "list" else None) for mode in bench.MODES]
+        expected = [_dump(run_trials(cfg, parallel=p, keep_per_trial=True)) for cfg in configs for p in (1, 2)]
+        monkeypatch.setattr(_native, "_COMPILER", compiler)
+        monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_native, "_npyrandom", lambda: archive)
+        monkeypatch.setattr(_native, "_drawer", _native._UNLOADED)
+        assert _native.drawer() is None
+        assert [_dump(run_trials(cfg, parallel=p, keep_per_trial=True))
+                for cfg in configs for p in (1, 2)] == expected
+        assert list(tmp_path.rglob("_draw.*")) == []
+
+    @pytest.mark.parametrize("broken", ["draw", "walk"])
+    def test_one_failed_build_leaves_the_other(self, monkeypatch, tmp_path, broken):
+        # the walk and the draw are two libraries in one cache
+        if _native.walker() is None or _native.drawer() is None:
+            pytest.skip("the compiled walk and draw do not both load here")
+        if broken == "draw":
+            (tmp_path / "bad.a").write_text("not an archive")
+            monkeypatch.setattr(_native, "_npyrandom", lambda: tmp_path / "bad.a")
+        else:
+            monkeypatch.setattr(_native, "_WALK", ("_walk", "cf_no_such_symbol", ()))
+        monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
+        monkeypatch.setattr(_native, "_walker", _native._UNLOADED)
+        monkeypatch.setattr(_native, "_drawer", _native._UNLOADED)
+        assert (_native.walker() is None, _native.drawer() is None) == (broken == "walk", broken == "draw")
+        assert list((tmp_path / "cache").glob("*.tmp")) == []
 
 
 class TestEmitReport:
@@ -1047,7 +1101,7 @@ class TestCompiledWalk:
         else:
             (tmp_path / "file").write_text("")
             cache = tmp_path / "file" / "cache"
-        assert _native._load(compiler, cache) is None
+        assert _native._load(compiler, cache, *_native._WALK) is None
         configs = [TrialConfig(mode="rate_avg", n=8, snr_db=20.0, trials=60, seed=3),
                    TrialConfig(mode="node_ratio", n=4, snr_db=0.0, trials=60, seed=3)]
         expected = [_dump(run_trials(cfg, keep_per_trial=True)) for cfg in configs]
