@@ -8,10 +8,13 @@ compiles the source with the system C compiler into this package's
 ``__pycache__`` directory, under a name that hashes the source, the compiler
 and its flags, numpy's version and the link inputs, unless that file is
 there already; it is written under a temporary name and then renamed, so
-processes that build it at once do not clash.  Any failure (no compiler, no
-archive, a link error, a directory that cannot be written, a library that
-does not load) gives None for that library alone, and the callers run the
-Python form.  Nothing here runs at import.
+processes that build it at once do not clash.  A new build unlinks the
+other libraries of its source's stem (a process that has one loaded keeps
+its mapping), so two interpreters with different numpy versions that share
+one checkout rebuild in turn.  Any failure (no compiler, no archive, a
+link error, a directory that cannot be written, a library that does not
+load) gives None for that library alone, and the callers run the Python
+form.  Nothing here runs at import.
 """
 
 from __future__ import annotations
@@ -78,6 +81,13 @@ def _load(compiler: str, cache: Path, stem: str, symbol: str, argtypes: tuple, l
                 subprocess.run([compiler, *_FLAGS, "-o", tmp, str(source), *link, "-lm"],
                                check=True, capture_output=True)
                 os.replace(tmp, lib)
+                # the stem's libraries of other sources or numpy versions
+                for old in cache.glob(f"{stem}.{'?' * 16}.so"):
+                    if old != lib:
+                        try:
+                            old.unlink()
+                        except OSError:
+                            pass
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)

@@ -22,10 +22,10 @@ compiled walk (:func:`~cfcoef.search._walk_rows`; ``list`` searches per
 trial).  ``solve`` and ``rate_avg`` map back and form every answer of the
 chunk in one pass and take one rate per trial, and ``rate_avg`` evaluates every
 row's dominance candidates as arrays and rates them only where a form
-threshold cannot decide the count (``list`` maps back per trial).  Each
-trial's record is written once, under its ``per_trial`` names.  Each value
-is the same float the single-channel calls give, so the ``result`` bytes
-and per-trial rows do not depend on the chunk size.
+threshold cannot decide the count (``list`` maps back per trial).  A chunk
+answers by column, one per field of its mode; the ``per_trial`` records are
+built only when kept.  Each value is the same float the single-channel calls
+give, so the ``result`` bytes and per-trial rows do not depend on the chunk size.
 Supported modes:
 
 * ``e1_freq``     - how often the O(n) unit-vector shortcut applies,
@@ -63,7 +63,7 @@ from .core import (
     _unit_form,
 )
 from .listsearch import _list_row
-from .search import _coefficients, _walk_rows
+from .search import _walk_rows
 
 __all__ = [
     "MODES",
@@ -345,86 +345,83 @@ def _dominance_counts(denominators: np.ndarray, rates: list, errors: list) -> li
     return counts
 
 
-def _run_chunk(args) -> list:
-    """Trials ``lo..hi-1`` of a run as ``(record, error or None)`` rows.
+def _run_chunk(args) -> tuple:
+    """Trials ``lo..hi-1`` of a run as ``(columns, errors)``: a list of Python
+    values per field of the mode, and each trial's error message or None (a
+    trial with a message holds placeholder values).
 
     The chunk draws its channels (see :func:`_draw_rows`), checks them (they
     skip :class:`ChannelInstance`), builds every canonical row and tests the
-    first unit vector on each, one call apiece.  ``e1_freq`` and
-    ``node_ratio`` cannot raise and fill their ``per_trial`` records
-    directly, ``node_ratio`` from one fixed-radius :func:`~cfcoef.search._walk_rows`
-    call; ``list`` runs ``list_solve``'s row step per trial; ``solve``
-    and ``rate_avg`` rate the chunk with :func:`_solve_rows`, and
-    ``rate_avg`` adds the dominance count as ``beating``.
+    first unit vector on each, one call apiece.  ``node_ratio`` counts its
+    nodes in one fixed-radius :func:`~cfcoef.search._walk_rows` call;
+    ``list`` runs ``list_solve``'s row step per trial; ``solve`` and
+    ``rate_avg`` rate the chunk with :func:`_solve_rows`, and ``rate_avg``
+    adds the dominance count as ``beating``.
     """
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
     _check_channels(h)
     t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
     hits = _e1_optimal(t, f)
-    trials = range(lo, hi)
+    m = hi - lo
     if mode == "e1_freq":
-        return [({"trial": j, "hit": hit}, None) for j, hit in zip(trials, hits.astype(int).tolist())]
+        return {"hit": hits.astype(int).tolist()}, [None] * m
     if mode == "node_ratio":
-        nodes = (_walk_rows(t, f, q, range(len(t)), shrink=False)[2] - 1).tolist()
-        return [({"trial": j, "nodes": k, "ratio": k / (n * math.sqrt(1.0 + P * x))}, None)
-                for j, k, x in zip(trials, nodes, hnorm2.tolist())]
+        nodes = _walk_rows(t, f, q, np.arange(m), shrink=False)[2] - 1
+        # correctly rounded operations: the floats of k / (n * math.sqrt(1.0 + P * x))
+        ratios = nodes / (n * np.sqrt(1.0 + P * hnorm2))
+        return {"nodes": nodes.tolist(), "ratio": ratios.tolist()}, [None] * m
     if mode == "list":
-        rows = []
-        for i, (j, x) in enumerate(zip(trials, hnorm2.tolist())):
+        lengths, tops, errors = [0] * m, [0.0] * m, [None] * m
+        for i, x in enumerate(hnorm2.tolist()):
             try:
                 entries = _list_row(h[i], P, x, t[i], order[i], sign[i], f[i], q[i], list_size)
-                top = entries[0][1] if entries else 0.0
-                rows.append(({"trial": j, "length": len(entries), "top_rate": top}, None))
             except NumericDegeneracyError as exc:
-                rows.append(({"trial": j}, str(exc)))
-        return rows
+                errors[i] = str(exc)
+            else:
+                lengths[i] = len(entries)
+                tops[i] = entries[0][1] if entries else 0.0
+        return {"length": lengths, "top_rate": tops}, errors
     rates, nodes, errors = _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits)
     if mode == "rate_avg":
         beating = _dominance_counts(_dominance_denominators(h, P, hnorm2, t_raw), rates, errors)
-        fields = [{"rate": rate, "beating": count} for rate, count in zip(rates, beating)]
-    else:
-        fields = [{"rate": rate, "nodes": count, "shortcut": hit}
-                  for rate, count, hit in zip(rates, nodes, hits.astype(int).tolist())]
-    return [({"trial": j}, err) if err is not None else ({"trial": j, **row}, None)
-            for j, row, err in zip(trials, fields, errors)]
+        return {"rate": rates, "beating": beating}, errors
+    return {"rate": rates, "nodes": nodes, "shortcut": hits.astype(int).tolist()}, errors
 
 
-def _aggregate(cfg: TrialConfig, rows: list) -> tuple:
-    """``(result, per_trial)`` of a run's rows; ``rate_avg`` pops each ``beating`` count."""
-    records = [record for record, err in rows if err is None]
+def _aggregate(cfg: TrialConfig, parts: list, keep_per_trial: bool) -> tuple:
+    """``(result, per_trial)`` of a run's :func:`_run_chunk` answers, in trial order.
+
+    The trials with an error are dropped; each mean is ``math.fsum`` of the
+    kept values in trial order.  ``per_trial`` is built only if ``keep_per_trial``.
+    """
+    errors = [err for _, chunk_errors in parts for err in chunk_errors]
+    degenerate = [j for j, err in enumerate(errors) if err is not None]
+    kept = [j for j, err in enumerate(errors) if err is None] if degenerate else range(len(errors))
+    cols = {name: [value for columns, _ in parts for value in columns[name]] for name in parts[0][0]}
+    if degenerate:
+        cols = {name: [col[j] for j in kept] for name, col in cols.items()}
 
     def mean(name):
-        return math.fsum(record[name] for record in records) / len(records) if records else 0.0
+        return math.fsum(cols[name]) / len(kept) if kept else 0.0
 
-    degenerate = [record["trial"] for record, err in rows if err is not None]
     result: dict = {"degenerate_trials": degenerate}
     if cfg.mode == "e1_freq":
-        result.update(e1_fraction=mean("hit"), hits=sum(record["hit"] for record in records))
+        result.update(e1_fraction=mean("hit"), hits=sum(cols["hit"]))
     elif cfg.mode == "node_ratio":
-        result.update(
-            node_ratio_avg=mean("ratio"),
-            node_ratio_max=max((record["ratio"] for record in records), default=0.0),
-            nodes_avg=mean("nodes"),
-        )
+        result.update(node_ratio_avg=mean("ratio"), node_ratio_max=max(cols["ratio"], default=0.0),
+                      nodes_avg=mean("nodes"))
     elif cfg.mode == "rate_avg":
-        result.update(
-            rate_avg=mean("rate"),
-            dominance_violations=sum(record.pop("beating") for record in records),
-        )
+        result.update(rate_avg=mean("rate"), dominance_violations=sum(cols.pop("beating")))
     elif cfg.mode == "list":
-        result.update(
-            list_len_avg=mean("length"),
-            top_rate_avg=mean("top_rate"),
-            short_lists=sum(1 for record in records if record["length"] < cfg.list_size),
-        )
+        result.update(list_len_avg=mean("length"), top_rate_avg=mean("top_rate"),
+                      short_lists=sum(1 for length in cols["length"] if length < cfg.list_size))
     else:  # solve
-        result.update(
-            rate_avg=mean("rate"),
-            nodes_avg=mean("nodes"),
-            e1_fraction=mean("shortcut"),
-        )
-    return result, records
+        result.update(rate_avg=mean("rate"), nodes_avg=mean("nodes"), e1_fraction=mean("shortcut"))
+    if not keep_per_trial:
+        return result, ()
+    names = ("trial", *cols)
+    return result, tuple(dict(zip(names, row)) for row in zip(kept, *cols.values()))
 
 
 def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False) -> TrialReport:
@@ -474,15 +471,9 @@ def run_trials(cfg: TrialConfig, parallel: int = 1, keep_per_trial: bool = False
             parts = [fut.result() for fut in futures]
     else:
         parts = [_run_chunk(chunk) for chunk in chunks]
-    rows = [row for part in parts for row in part]
-    result, per_trial = _aggregate(cfg, rows)
+    result, per_trial = _aggregate(cfg, parts, keep_per_trial)
     wall = time.perf_counter() - start
-    return TrialReport(
-        config=cfg,
-        result=result,
-        wall_time=wall,
-        per_trial=tuple(per_trial) if keep_per_trial else (),
-    )
+    return TrialReport(config=cfg, result=result, wall_time=wall, per_trial=per_trial)
 
 
 def _headline(report: TrialReport) -> dict:

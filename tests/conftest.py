@@ -90,7 +90,7 @@ def assert_walks_match(t, f, q, shrink: bool) -> None:
     count."""
     from cfcoef.search import _constrained_walk, _walk_rows
 
-    best, moved, nodes, last, wide = _walk_rows(t, f, q, range(len(t)), shrink)
+    best, moved, nodes, last, wide = _walk_rows(t, f, q, np.arange(len(t)), shrink)
     assert wide == {}
     for i in range(len(t)):
         ref, incumbents, tests = _constrained_walk(t[i], f[i], q[i], shrink)

@@ -189,8 +189,8 @@ class TestRunTrials:
             report = run_trials(cfg, keep_per_trial=True)
             assert report.result["degenerate_trials"] == [3]
             assert [row["trial"] for row in report.per_trial] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
-            rows = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
-            assert rows[3] == ({"trial": 3}, str(first.value))
+            _, errors = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
+            assert errors == [None] * 3 + [str(first.value)] + [None] * 6
 
     @staticmethod
     def _replace_trial(monkeypatch, cfg, trial, h):
@@ -218,8 +218,24 @@ class TestRunTrials:
         cfg = TrialConfig(mode="rate_avg", n=2, snr_db=0.0, trials=9, seed=7)
         self._replace_trial(monkeypatch, cfg, 5, ch.h)
         assert run_trials(cfg).result["degenerate_trials"] == [5]
-        rows = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
-        assert rows[5] == ({"trial": 5}, str(first.value))
+        _, errors = bench._run_chunk((cfg.mode, cfg.n, cfg.P, cfg.seed, cfg.list_size, 0, cfg.trials))
+        assert errors == [None] * 5 + [str(first.value)] + [None] * 3
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("mode", ["rate_avg", "solve"])
+    def test_degenerate_trial_in_a_later_chunk(self, monkeypatch, mode, parallel):
+        # chunks of 8 trials at n = 5 serially, of 1 trial in the pool (run
+        # inline): WIDE_H's trial 11 is in neither first chunk, and every
+        # aggregate is that of the other trials' public rows
+        monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 40)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", _InlinePool)
+        cfg = TrialConfig(mode=mode, n=5, snr_db=10.0, trials=30, seed=7)
+        self._replace_trial(monkeypatch, cfg, 11, WIDE_H)
+        report = run_trials(cfg, parallel=parallel, keep_per_trial=True)
+        rows, violations = _public_rows(cfg, skip=(11,))
+        assert [row["trial"] for row in report.per_trial] == [j for j in range(30) if j != 11]
+        assert list(report.per_trial) == rows
+        assert report.result == _expected_result(cfg, rows, violations, degenerate=[11])
 
     @pytest.mark.parametrize("mode", ["e1_freq", "list"])
     def test_zero_channel_is_rejected(self, monkeypatch, mode):
@@ -372,10 +388,13 @@ def _assert_same_rates(h, P):
                 assert bench._rate(denom) == rate
 
 
-def _public_rows(cfg):
-    """Each trial's ``per_trial`` row, and the dominance violations, from public calls."""
+def _public_rows(cfg, skip=()):
+    """Each trial's ``per_trial`` row, and the dominance violations, from
+    public calls; the trials in ``skip`` are left out."""
     rows, violations = [], 0
     for j in range(cfg.trials):
+        if j in skip:
+            continue
         ch = ChannelInstance(h=sample_channel(cfg.n, trial_rng(cfg.seed, j)), P=cfg.P)
         if cfg.mode == "e1_freq":
             rows.append({"trial": j, "hit": int(e1_is_optimal(ScaledChannel.from_channel(ch)))})
@@ -397,6 +416,29 @@ def _public_rows(cfg):
     return rows, violations
 
 
+def _expected_result(cfg, rows, violations, degenerate=()):
+    """The ``result`` of a run whose kept ``per_trial`` rows are ``rows``:
+    each mean is ``math.fsum`` over the rows in trial order."""
+
+    def mean(name):
+        return math.fsum(row[name] for row in rows) / len(rows)
+
+    result = {"degenerate_trials": list(degenerate)}
+    if cfg.mode == "e1_freq":
+        result.update(e1_fraction=mean("hit"), hits=sum(row["hit"] for row in rows))
+    elif cfg.mode == "node_ratio":
+        result.update(node_ratio_avg=mean("ratio"), node_ratio_max=max(row["ratio"] for row in rows),
+                      nodes_avg=mean("nodes"))
+    elif cfg.mode == "rate_avg":
+        result.update(rate_avg=mean("rate"), dominance_violations=violations)
+    elif cfg.mode == "list":
+        result.update(list_len_avg=mean("length"), top_rate_avg=mean("top_rate"),
+                      short_lists=sum(row["length"] < cfg.list_size for row in rows))
+    else:
+        result.update(rate_avg=mean("rate"), nodes_avg=mean("nodes"), e1_fraction=mean("shortcut"))
+    return result
+
+
 class TestChunkedTrials:
     """``run_trials`` builds each chunk of trials as 2-D arrays; every
     ``per_trial`` row must still equal the public per-trial calls exactly."""
@@ -413,6 +455,7 @@ class TestChunkedTrials:
         ("solve", 1, 10.0, 19),
         ("solve", 130, 30.0, 21),
         ("list", 3, 10.0, 23),
+        ("list", 3, 0.0, 23),
     ])
     def test_rows_match_public_calls(self, mode, n, snr_db, trials, parallel):
         # a serial run is one chunk; on two workers the chunks hold
@@ -423,9 +466,7 @@ class TestChunkedTrials:
         report = run_trials(cfg, parallel=parallel, keep_per_trial=True)
         rows, violations = _public_rows(cfg)
         assert list(report.per_trial) == rows
-        assert report.result["degenerate_trials"] == []
-        if mode == "rate_avg":
-            assert report.result["dominance_violations"] == violations
+        assert report.result == _expected_result(cfg, rows, violations)
 
 
     @pytest.mark.parametrize("parallel", [1, 2])
@@ -1069,6 +1110,20 @@ class TestCompiledWalk:
         assert json.loads(native)[0]["degenerate_trials"] == [2]
         monkeypatch.setattr(_native, "_walker", None)
         assert _dump(run_trials(cfg, keep_per_trial=True)) == native
+
+    def test_a_new_build_prunes_the_stale_libraries(self, tmp_path):
+        # a walk library of another source goes; the draw's library and a
+        # build still in flight stay
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        kept = ["_draw.0123456789abcdef.so", "_walk.k2x9q7.tmp"]
+        for name in ["_walk.0123456789abcdef.so", *kept]:
+            (cache / name).write_text("")
+        if _native._load(_native._COMPILER, cache, *_native._WALK) is None:
+            pytest.skip("the compiled walk does not build here")
+        built = [path.name for path in cache.glob("_walk.*.so")]
+        assert len(built) == 1 and built[0] != "_walk.0123456789abcdef.so"
+        assert sorted(path.name for path in cache.iterdir()) == sorted(built + kept)
 
     @pytest.mark.parametrize("rows, shapes", [
         ([2], ((2, 3), (2, 4), (2, 3))),
