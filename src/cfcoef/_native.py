@@ -1,20 +1,21 @@
 """The compiled forms of the constrained walk and of the chunk draw, built on first use.
 
-:func:`walker` returns ``cf_walk_rows`` from ``_walk.c`` and :func:`drawer`
-returns ``cf_draw_rows`` from ``_draw.c``, which links numpy's normal kernel
-from the installed ``numpy/random/lib/libnpyrandom.a``; each is loaded with
-:mod:`ctypes` from its own library, or is None.  The first call in a process
-compiles the source with the system C compiler into this package's
-``__pycache__`` directory, under a name that hashes the source, the compiler
-and its flags, numpy's version and the link inputs, unless that file is
-there already; it is written under a temporary name and then renamed, so
-processes that build it at once do not clash.  A new build unlinks the
-other libraries of its source's stem (a process that has one loaded keeps
-its mapping), so two interpreters with different numpy versions that share
-one checkout rebuild in turn.  Any failure (no compiler, no archive, a
-link error, a directory that cannot be written, a library that does not
-load) gives None for that library alone, and the callers run the Python
-form.  Nothing here runs at import.
+:func:`walker` returns the :mod:`ctypes` library of ``_walk.c``, whose two
+entry points ``cf_walk_rows`` and ``cf_opening_climb`` share one build and
+one load, and :func:`drawer` that of ``_draw.c`` (``cf_draw_rows``), which
+links numpy's normal kernel from the installed
+``numpy/random/lib/libnpyrandom.a``; each is None where it cannot be had.
+The first call in a process compiles the source with the system C compiler
+into this package's ``__pycache__`` directory, under a name that hashes the
+source, the compiler and its flags, numpy's version and the link inputs,
+unless that file is there already; it is written under a temporary name
+and then renamed, so processes that build it at once do not clash.  A new
+build unlinks the other libraries of its source's stem (a process that has
+one loaded keeps its mapping), so two interpreters with different numpy
+versions that share one checkout rebuild in turn.  Any failure (no
+compiler, no archive, a link error, a directory that cannot be written, a
+library or symbol that does not load) gives None for that library alone,
+and the callers run the Python forms.  Nothing here runs at import.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ _COMPILER = "cc"
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 _CACHE = Path(__file__).with_name("__pycache__")
 
-# (source stem, symbol, argument types as ctypes names)
-_WALK = ("_walk", "cf_walk_rows", ("c_int64",) * 2 + ("c_void_p",) * 4 + ("c_int",) + ("c_void_p",) * 5)
-_DRAW = ("_draw", "cf_draw_rows", ("c_int64", "c_int64", "c_void_p", "c_void_p"))
+# (source stem, {symbol: (result type, argument types)}, types as ctypes names)
+_WALK = ("_walk", {
+    "cf_walk_rows": (None, ("c_int64",) * 2 + ("c_void_p",) * 4 + ("c_int",) + ("c_void_p",) * 5),
+    "cf_opening_climb": ("c_int64", ("c_int64",) + ("c_void_p",) * 4),
+})
+_DRAW = ("_draw", {"cf_draw_rows": (None, ("c_int64", "c_int64", "c_void_p", "c_void_p"))})
 
 _UNLOADED = object()
 _walker = _UNLOADED
@@ -35,7 +39,7 @@ _drawer = _UNLOADED
 
 
 def walker():
-    """The compiled chunk walk, or None if it cannot be had."""
+    """The compiled walk's library, or None if it cannot be had."""
     global _walker
     if _walker is _UNLOADED:
         _walker = _load(_COMPILER, _CACHE, *_WALK)
@@ -43,7 +47,7 @@ def walker():
 
 
 def drawer():
-    """The compiled chunk draw, or None if it cannot be had."""
+    """The compiled chunk draw's library, or None if it cannot be had."""
     global _drawer
     if _drawer is _UNLOADED:
         _drawer = _load(_COMPILER, _CACHE, *_DRAW, link=(str(_npyrandom()),))
@@ -57,8 +61,9 @@ def _npyrandom() -> Path:
     return Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 
 
-def _load(compiler: str, cache: Path, stem: str, symbol: str, argtypes: tuple, link: tuple = ()):
-    """``symbol`` of ``stem``.c linked with ``link``, compiled by ``compiler`` into ``cache``, or None."""
+def _load(compiler: str, cache: Path, stem: str, symbols: dict, link: tuple = ()):
+    """``stem``.c linked with ``link``, compiled by ``compiler`` into ``cache``,
+    with each of ``symbols`` typed, or None."""
     import ctypes
     import hashlib
     import os
@@ -91,9 +96,12 @@ def _load(compiler: str, cache: Path, stem: str, symbol: str, argtypes: tuple, l
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = getattr(ctypes.CDLL(str(lib)), symbol)
+        dll = ctypes.CDLL(str(lib))
+        for symbol, (restype, argtypes) in symbols.items():
+            # the CDLL keeps this function object as its attribute ``symbol``
+            fn = getattr(dll, symbol)
+            fn.restype = getattr(ctypes, restype) if restype else None
+            fn.argtypes = tuple(getattr(ctypes, name) for name in argtypes)
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    fn.argtypes = tuple(getattr(ctypes, name) for name in argtypes)
-    fn.restype = None
-    return fn
+    return dll

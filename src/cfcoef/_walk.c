@@ -1,5 +1,6 @@
-/* The constrained walk of cfcoef.search._constrained_walk over the listed
-   rows of a chunk, in one call.
+/* The constrained walk of cfcoef.search._constrained_walk, in C, with two
+   entry points: cf_opening_climb, the walk's opening climb on one row, and
+   cf_walk_rows, the whole walk over the listed rows of a chunk, in one call.
 
    A step-for-step port of _opening_climb and of the walk's main loop: each
    float comes from the same operations in the same order, and each square
@@ -11,8 +12,9 @@
 
    Coefficients are held as doubles, which are exact below 2**53.  A row
    whose walk reaches an entry of 2**53 or more in magnitude (as a centre
-   that is not finite does) gets status 1 and no other output: the Python
-   walk reruns it with Python integers, and raises Python's errors. */
+   that is not finite does) is handed back with no other output (-1 from
+   the climb, status 1 from the walk): the Python walk reruns it with Python
+   integers, and raises Python's errors. */
 
 #include <math.h>
 #include <stdint.h>
@@ -29,9 +31,10 @@ static double round_nearest(double x)
     return r;
 }
 
-/* _opening_climb: the hand-over level and, in *nodes, its count; -1 hands back */
-static int64_t opening_climb(int64_t n, const double *t, const double *f, const double *q,
-                             int64_t *nodes)
+/* _opening_climb on n-entry t and q and the first n entries of f: the
+   hand-over level and, in *nodes, its count; -1 hands back */
+int64_t cf_opening_climb(int64_t n, const double *t, const double *f, const double *q,
+                         int64_t *nodes)
 {
     double q0 = q[0];
     *nodes = 1;
@@ -59,7 +62,7 @@ static int walk_row(int64_t n, const double *t, const double *f, const double *q
                     double *p, double *a, double *d, double *sig, int64_t *s, char *flag,
                     int64_t *best, int8_t *moved, int64_t *nodes, double *last)
 {
-    int64_t k = opening_climb(n, t, f, q, nodes);
+    int64_t k = cf_opening_climb(n, t, f, q, nodes);
     double beta2 = q[0];
     *moved = 0;
     if (k < 0)

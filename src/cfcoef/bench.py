@@ -253,7 +253,7 @@ def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     words = np.ascontiguousarray(_seed_words(seed, lo, hi), dtype=np.uint64)
     draw = _native.drawer()
     if draw is not None:
-        draw(hi - lo, n, words.ctypes.data, h.ctypes.data)
+        draw.cf_draw_rows(hi - lo, n, words.ctypes.data, h.ctypes.data)
         return h
     for row, w in zip(h, words):
         np.random.Generator(np.random.PCG64(_SeedWords(w))).standard_normal(out=row)

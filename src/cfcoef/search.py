@@ -11,22 +11,21 @@ two callers: :func:`modified_search` shrinks its radius to find the
 optimum, and :func:`count_visited_nodes` holds it at ``q[0]`` to count the
 tested candidates, the complexity meter used by the benchmark harness.
 
-At large ``n`` the walk's cost is mostly one O(n) scan: its opening climb
-from level 0 through untouched levels at radius ``q[0]``, which reads only
-``t``, ``f`` and ``q``.  From :data:`_VECTOR_SCAN_MIN_N` levels on that scan
-runs as one numpy pass (:func:`_opening_scan`) with the same float values,
-so node counts and incumbents do not change.
-
 The walk has a second form, in C: ``_walk.c``, built and loaded by
-:mod:`cfcoef._native`, walks many rows of a trial chunk in one call
-(:func:`_walk_rows`, used by the benchmark harness) and gives the same
-floats, node counts and vectors.  It hands a row whose coefficients reach
-``2**53`` back to :func:`_constrained_walk`, which stays the reference and
-the fallback, and which every single-channel call runs.
+:mod:`cfcoef._native`, with two entry points that give the same floats,
+node counts and vectors.  One walks many rows of a trial chunk in one call
+(:func:`_walk_rows`, used by the benchmark harness).  The other is the
+walk's opening climb from level 0 through untouched levels at radius
+``q[0]``, an O(n) scan that reads only ``t``, ``f`` and ``q`` and is most of
+a walk's cost at large ``n``; every single-channel walk runs it from
+:data:`_COMPILED_CLIMB_MIN_N` levels on.  Both hand a row whose coefficients
+reach ``2**53`` back to the Python forms, which stay the reference and the
+fallback where the library does not load.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -56,14 +55,13 @@ __all__ = [
 ]
 
 
-# Smallest n whose opening scan runs as _opening_scan, not _opening_climb.
-# Whole-walk CPU medians on Gaussian channels, summed over 10-40 dB (12
-# channels per point, best of 5 interleaved batches of 30 calls per form,
-# three runs, BENCH_24.json): numpy/per-level reads 1.04 at n = 128, 0.98-1.00
-# at 144 and 0.84-0.85 at 192.  The numpy pass still wins at 10-20 dB from 128,
-# where the scan mostly ends the walk, and the tier-1 rows that reach it sit
-# just above 128, so the cut-over stays there.
-_VECTOR_SCAN_MIN_N = 128
+# Smallest n whose opening climb runs in C (cf_opening_climb), not as
+# _opening_climb.  Whole-walk CPU medians on Gaussian channels at 10, 20 and
+# 30 dB (12 channels per point, best of 5 interleaved batches of 30 calls per
+# form, BENCH_28.json): C/Python reads 1.00-1.10 at n = 32, 0.67-1.02 at 48,
+# 0.57-0.98 at 64 and 0.21-0.64 at 256.  A ctypes call costs about 5 us, which
+# the climb repays from about 48 levels on; at n = 8 C reads 1.31-1.72.
+_COMPILED_CLIMB_MIN_N = 64
 
 
 def _round_nearest(x: float) -> int:
@@ -76,13 +74,6 @@ def _round_nearest(x: float) -> int:
 
 def _sgn(x) -> int:
     return 1 if x >= 0 else -1
-
-
-def _clipped_round(d: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(_round_nearest(x), 1)`` as floats."""
-    r = np.floor(d + 0.5)
-    r -= (r - d == 0.5) & (r > 0)
-    return np.maximum(r, 1.0, out=r)
 
 
 def _opening_climb(t: list, f: list, q: list) -> tuple:
@@ -113,29 +104,6 @@ def _opening_climb(t: list, f: list, q: list) -> tuple:
         else:
             nodes += 1
     return len(q), nodes
-
-
-def _opening_scan(t: np.ndarray, f: np.ndarray, q: np.ndarray) -> tuple:
-    """:func:`_opening_climb` on arrays, in one numpy pass.
-
-    Only the live levels, those with ``q[j] < q[0]``, are evaluated: each
-    of the two tests' values is at least ``q[j]`` in floats too, so no
-    other level can pass, and each live level below ``j`` costs two tests
-    more than a dead one.  Each value is the float the climb computes:
-    ``r`` is :func:`_round_nearest` clipped at 1 (``ceil(d - 0.5)`` would
-    differ from ``2**52`` on), and ``np.float_power`` rounds the square
-    like Python's ``** 2``, where ``np.power`` and ``d * d`` do not always.
-    """
-    q0 = q[0]
-    live = np.flatnonzero(q[1:] < q0) + 1
-    d = t[live - 1] * t[live] / f[live]
-    r = _clipped_round(d)
-    lead = np.minimum(q[live] + q[live - 1] * np.float_power(r - d, 2), 4.0 * q[live])
-    hits = np.flatnonzero(lead < q0)
-    if not hits.size:
-        return q.size, q.size + 2 * live.size
-    j = int(live[hits[0]])
-    return j, j + 2 * int(hits[0])
 
 
 @dataclass(frozen=True)
@@ -187,25 +155,32 @@ def _constrained_walk(t: np.ndarray, f: np.ndarray, q: np.ndarray, shrink: bool)
     moves on to the next level-0 candidate, which is never closer to the
     center, so after a shrink its test fails.
 
-    Opening scan: for ``n >= 2`` the first test, ``a[0] = 1`` against
+    Opening climb: for ``n >= 2`` the first test, ``a[0] = 1`` against
     ``q[0]``, always fails, and the walk climbs through untouched levels to
     :func:`_opening_climb`'s hand-over level ``j``.  No leaf passes on the
     way, and a level below ``j`` is reached again only by a descent, which
-    rewrites it, so the climb runs without state (as :func:`_opening_scan`
-    from ``_VECTOR_SCAN_MIN_N`` levels on) and the walk starts at ``j`` with
-    ``a[j] = 1``, or ends if ``j = n``.
+    rewrites it, so the climb runs without state (in C from
+    ``_COMPILED_CLIMB_MIN_N`` levels on, where the library loads and does not
+    hand the row back) and the walk starts at ``j`` with ``a[j] = 1``, or
+    ends if ``j = n``.
 
     Returns ``(best, incumbents, nodes)``: the last incumbent's ``a[:n]``
     (None while it is the first unit vector), the successive squared radii
     from ``q[0]``, and the radius tests.
     """
     n = t.size
-    if n >= _VECTOR_SCAN_MIN_N:
-        k, nodes = _opening_scan(t, f, q)
+    k = -1
+    # the C climb reads n entries of each through raw pointers
+    lib = _native.walker() if n >= _COMPILED_CLIMB_MIN_N and q.size == n <= f.size else None
+    if lib is not None:
+        t, f, q = (np.ascontiguousarray(x, dtype=np.float64) for x in (t, f, q))
+        out = ctypes.c_int64()
+        k = lib.cf_opening_climb(n, t.ctypes.data, f.ctypes.data, q.ctypes.data, ctypes.byref(out))
+        nodes = out.value
         if k == n:
             return None, [float(q[0])], nodes
     t, f, q = t.tolist(), f.tolist(), q.tolist()
-    if n < _VECTOR_SCAN_MIN_N:
+    if k < 0:
         k, nodes = _opening_climb(t, f, q)
         if k == n:
             return None, [q[0]], nodes
@@ -291,12 +266,12 @@ def _walk_rows(t: np.ndarray, f: np.ndarray, q: np.ndarray, rows, shrink: bool) 
     best = np.zeros((count, n), dtype=np.int64)
     moved, status = np.empty(count, dtype=np.int8), np.ones(count, dtype=np.int8)
     nodes, last = np.empty(count, dtype=np.int64), np.empty(count)
-    walk = _native.walker()
-    if walk is not None:
+    lib = _native.walker()
+    if lib is not None:
         t, f, q = (np.ascontiguousarray(x, dtype=np.float64) for x in (t, f, q))
-        walk(n, count, rows.ctypes.data, t.ctypes.data, f.ctypes.data, q.ctypes.data,
-             int(shrink), best.ctypes.data, moved.ctypes.data, nodes.ctypes.data,
-             last.ctypes.data, status.ctypes.data)
+        lib.cf_walk_rows(n, count, rows.ctypes.data, t.ctypes.data, f.ctypes.data, q.ctypes.data,
+                         int(shrink), best.ctypes.data, moved.ctypes.data, nodes.ctypes.data,
+                         last.ctypes.data, status.ctypes.data)
     wide = {}
     for r in np.flatnonzero(status).tolist():
         i = rows[r]

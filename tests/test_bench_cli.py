@@ -730,7 +730,9 @@ class TestChunkDrawer:
             (tmp_path / "bad.a").write_text("not an archive")
             monkeypatch.setattr(_native, "_npyrandom", lambda: tmp_path / "bad.a")
         else:
-            monkeypatch.setattr(_native, "_WALK", ("_walk", "cf_no_such_symbol", ()))
+            # one missing symbol fails the whole walk library
+            stem, symbols = _native._WALK
+            monkeypatch.setattr(_native, "_WALK", (stem, {**symbols, "cf_no_such_symbol": (None, ())}))
         monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
         monkeypatch.setattr(_native, "_walker", _native._UNLOADED)
         monkeypatch.setattr(_native, "_drawer", _native._UNLOADED)

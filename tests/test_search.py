@@ -1,5 +1,6 @@
 """Baseline and implicit-factor searches, the solve pipeline, node counters."""
 
+import ctypes
 import itertools
 import math
 
@@ -24,11 +25,9 @@ from cfcoef import (
     solve,
     trial_rng,
 )
-from cfcoef import search
+from cfcoef import _native, search
 from cfcoef.core import _channel_rows, _invert
-from cfcoef.search import (
-    _answer, _clipped_round, _coefficients, _constrained_walk, _round_nearest, _solve_row,
-)
+from cfcoef.search import _answer, _coefficients, _constrained_walk, _solve_row
 from conftest import (
     FLOAT_LIMIT_H, WIDE_H, feasible_instance, make_channel, same_up_to_sign, scaled_from_t,
 )
@@ -391,15 +390,56 @@ class TestPinnedTraversal:
         _assert_tree(tree, n, visited, incumbents)
 
 
-class TestOpeningScan:
-    """The opening scan's numpy and per-level forms against each other."""
+def _compiled_climb(t, f, q) -> tuple:
+    """``cf_opening_climb`` on one row, as ``(j, nodes)``; ``j = -1`` hands it back."""
+    lib = _native.walker()
+    if lib is None:
+        pytest.skip("the compiled walk does not load here")
+    t, f, q = (np.ascontiguousarray(x, dtype=np.float64) for x in (t, f, q))
+    nodes = ctypes.c_int64()
+    j = lib.cf_opening_climb(t.size, t.ctypes.data, f.ctypes.data, q.ctypes.data, ctypes.byref(nodes))
+    return j, nodes.value
 
-    def test_cutover_settings_agree(self, monkeypatch):
+
+def _outcome(call, *args):
+    """``call(*args)``, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# hand-made rows whose opening climb meets, at level 1, a centre that a
+# double cannot hold as an exact integer: 3e16, past 2**53 (the list climb
+# hands over there with Python integers), inf (OverflowError) and 0/0
+# (ZeroDivisionError); the C climb hands each back
+CLIMB_HAND_BACKS = [
+    ([0.6, 0.5, 0.4], [1.0, 1e-17, 0.5, 0.5], [0.9, 0.1, 0.95]),
+    ([0.6, 0.5, 0.4], [1.0, 5e-324, 0.5, 0.5], [0.9, 0.5, 0.95]),
+    ([0.6, 0.0, 0.0], [1.0, 0.0, 0.5, 0.5], [0.9, 0.5, 0.95]),
+]
+
+
+def _wide_head_channel(n):
+    """A channel whose gains 3e32 and 3e16 lead 0.01-scaled Gaussian ones: at
+    10 dB the opening climb's centre at level 1 is 1e16, past 2**53, where the
+    C climb hands the row back, and the walks end within a few hundred tests."""
+    h = 0.01 * sample_channel(n, trial_rng(3, 0))
+    h[:2] = 3e32, 3e16
+    return h
+
+
+class TestOpeningScan:
+    """The opening climb's C and per-level forms against each other."""
+
+    @staticmethod
+    def rows() -> list:
+        """``(t, f, q)`` rows that reach every branch of the climb."""
         rng = np.random.default_rng(31)
         channels = [scaled_from_t([0.84, 0.5257142857142859])]  # descent center 1.5
         # PINNED_EDGES reach every hand-over branch; in the two n=3 rows
         # after them q[0]/q[2] is 3.37 and 4.006, so the a[2] = 2 test alone
-        # decides whether the scan hands over
+        # decides whether the climb hands over
         edges = [row[:3] for row in PINNED_EDGES] + [(3, 30, 375), (3, 40, 774)]
         for n, snr_db, trial in edges:
             channels.append(_scaled(sample_channel(n, trial_rng(7, trial)), snr_db))
@@ -415,34 +455,79 @@ class TestOpeningScan:
             elif i % 3 == 2:
                 g = _head_channel(n, int(rng.integers(1, 13)), i)
             channels.append(_scaled(g, snr_db))
-        ends = handovers = 0
-        for sc in channels:
+        return ([(sc.t, sc.f, sc.q) for sc in channels]
+                + [tuple(np.array(x) for x in row) for row in CLIMB_HAND_BACKS])
+
+    def test_compiled_climb_matches_the_list_climb(self, monkeypatch):
+        # where the C climb hands back, the list climb raises or rounds a
+        # centre to 2**53 or more; elsewhere both give the same (j, nodes)
+        centres, real = [], search._round_nearest
+
+        def recording(x):
+            centres.append(real(x))
+            return centres[-1]
+
+        monkeypatch.setattr(search, "_round_nearest", recording)
+        ends = handovers = hand_backs = 0
+        for t, f, q in self.rows():
+            j, nodes = _compiled_climb(t, f, q)
+            centres.clear()
+            want = _outcome(search._opening_climb, t.tolist(), f.tolist(), q.tolist())
+            if j < 0:
+                assert isinstance(want[0], type) or max(map(abs, centres)) >= 2**53
+                hand_backs += 1
+            else:
+                assert (j, nodes) == want and max(map(abs, centres), default=0) < 2**53
+                ends += j == t.size
+                handovers += j < t.size
+        assert ends > 10 and handovers > 10 and hand_backs == len(CLIMB_HAND_BACKS)
+
+    def test_cutover_settings_agree(self, monkeypatch):
+        # the walk with the C climb from level 1 on, with the list climb
+        # only, and with the compiled walk's library turned off
+        loaded = _native.walker()
+        for t, f, q in self.rows():
             walks = []
-            for cutover in (1, sc.n + 1):
-                monkeypatch.setattr(search, "_VECTOR_SCAN_MIN_N", cutover)
-                walks.append([_constrained_walk(sc.t, sc.f, sc.q, shrink) for shrink in (True, False)])
-            assert walks[0] == walks[1]
-            j, nodes = search._opening_scan(sc.t, sc.f, sc.q)
-            assert search._opening_climb(sc.t.tolist(), sc.f.tolist(), sc.q.tolist()) == (j, nodes)
-            ends += j == sc.n
-            handovers += j < sc.n
-        assert ends > 10 and handovers > 10
+            for cutover, lib in ((1, loaded), (t.size + 1, loaded), (1, None)):
+                monkeypatch.setattr(search, "_COMPILED_CLIMB_MIN_N", cutover)
+                monkeypatch.setattr(_native, "_walker", lib)
+                walks.append([_outcome(_constrained_walk, t, f, q, shrink) for shrink in (True, False)])
+            assert walks[0] == walks[1] == walks[2]
 
-    def test_float_power_squares_like_python(self):
-        # the per-level scan squares with C pow through ``**``; a platform
-        # whose numpy rounds one square differently would move node counts
-        rng = np.random.default_rng(37)
-        x = np.exp(rng.uniform(np.log(1e-150), np.log(1e150), 200_000))
-        x *= rng.choice([-1.0, 1.0], x.size)
-        assert np.float_power(x, 2).tolist() == [v ** 2 for v in x.tolist()]
+    @pytest.mark.parametrize("n", [search._COMPILED_CLIMB_MIN_N - 1, search._COMPILED_CLIMB_MIN_N, 300, 1000])
+    def test_public_calls_agree_across_the_cutover(self, monkeypatch, n):
+        # solve, modified_search and count_visited_nodes with the compiled
+        # climb and without it: Gaussian, integer-valued (tied) and
+        # strong-head channels, and one whose C climb hands back
+        channels = [ChannelInstance(h=sample_channel(n, trial_rng(41, j)), P=10.0 ** (snr_db / 10.0))
+                    for j, snr_db in enumerate((0.0, 20.0, 40.0, 60.0))]
+        channels += [ChannelInstance(h=np.round(2.0 * sample_channel(n, trial_rng(43, j))) + 1.0,
+                                     P=10.0 ** (snr_db / 10.0))
+                     for j, snr_db in enumerate((10.0, 30.0))]
+        channels += [ChannelInstance(h=_head_channel(n, head, head), P=100.0) for head in (2, 12)]
+        channels.append(ChannelInstance(h=_wide_head_channel(n), P=10.0))
+        if n >= search._COMPILED_CLIMB_MIN_N and _native.walker() is not None:
+            sc = ScaledChannel.from_channel(channels[-1])
+            assert _compiled_climb(sc.t, sc.f, sc.q)[0] == -1
 
-    def test_clipped_round_matches_round_nearest(self):
-        xs = [0.0, 5e-324, 0.49999999999999994, 0.5, 1.4999999999999998, 1.5, 2.5,
-              2.0**52 - 0.5, 2.0**52 + 1, 2.0**53 + 2, 1e300]
-        expected = [float(max(_round_nearest(x), 1)) for x in xs]
-        assert _clipped_round(np.array(xs)).tolist() == expected
-        # where ceil(d - 0.5) would part from the walk's rounding
-        assert expected[8] == 2.0**52 + 2
+        def solved(ch, shortcut):
+            res = solve(ch, shortcut)
+            return res.a.tolist(), res.rate.hex(), res.objective.hex(), res.nodes_visited, res.used_shortcut
+
+        def answers(ch):
+            sc = ScaledChannel.from_channel(ch)
+            res = modified_search(sc)
+            return (res.a.tolist(), res.objective.hex(), res.nodes_visited,
+                    [x.hex() for x in res.incumbents], count_visited_nodes(sc),
+                    [_outcome(solved, ch, shortcut) for shortcut in (True, False)])
+
+        compiled = [answers(ch) for ch in channels]
+        monkeypatch.setattr(_native, "_walker", None)
+        assert [answers(ch) for ch in channels] == compiled
+        # the hand-back row: the Python climb's vector, past 2**53, and
+        # solve's error on its rate
+        assert compiled[-1][0][:2] == [10**16, 1]
+        assert all(isinstance(outcome[0], type) for outcome in compiled[-1][5])
 
 
 class TestNodeCounters:
