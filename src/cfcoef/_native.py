@@ -1,10 +1,12 @@
-"""The compiled forms of the constrained walk and of the chunk draw, built on first use.
+"""The compiled forms of the constrained walk and of the chunk front, built on first use.
 
 :func:`walker` returns the :mod:`ctypes` library of ``_walk.c``, whose two
 entry points ``cf_walk_rows`` and ``cf_opening_climb`` share one build and
-one load, and :func:`drawer` that of ``_draw.c`` (``cf_draw_rows``), which
-links numpy's normal kernel from the installed
-``numpy/random/lib/libnpyrandom.a``; each is None where it cannot be had.
+one load, and :func:`drawer` that of ``_draw.c``, a trial chunk's front:
+the seed hash (``cf_seed_words``), the draw (``cf_draw_rows``, which hashes
+its seeds itself and links numpy's normal kernel from the installed
+``numpy/random/lib/libnpyrandom.a``) and the canonical rows with their
+unit-vector test (``cf_channel_rows``); each is None where it cannot be had.
 The first call in a process compiles the source with the system C compiler
 into this package's ``__pycache__`` directory, under a name that hashes the
 source, the compiler and its flags, numpy's version and the link inputs,
@@ -31,7 +33,11 @@ _WALK = ("_walk", {
     "cf_walk_rows": (None, ("c_int64",) * 2 + ("c_void_p",) * 4 + ("c_int",) + ("c_void_p",) * 5),
     "cf_opening_climb": ("c_int64", ("c_int64",) + ("c_void_p",) * 4),
 })
-_DRAW = ("_draw", {"cf_draw_rows": (None, ("c_int64", "c_int64", "c_void_p", "c_void_p"))})
+_DRAW = ("_draw", {
+    "cf_seed_words": (None, ("c_uint64", "c_uint64", "c_int64", "c_void_p")),
+    "cf_draw_rows": (None, ("c_uint64", "c_uint64", "c_int64", "c_int64", "c_void_p")),
+    "cf_channel_rows": ("c_int", ("c_int64", "c_int64", "c_double") + ("c_void_p",) * 9),
+})
 
 _UNLOADED = object()
 _walker = _UNLOADED
@@ -47,7 +53,7 @@ def walker():
 
 
 def drawer():
-    """The compiled chunk draw's library, or None if it cannot be had."""
+    """The compiled chunk front's library, or None if it cannot be had."""
     global _drawer
     if _drawer is _UNLOADED:
         _drawer = _load(_COMPILER, _CACHE, *_DRAW, link=(str(_npyrandom()),))

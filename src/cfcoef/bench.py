@@ -7,20 +7,24 @@ trial index.
 
 Trials run in chunks of at most ``_CHUNK_ENTRIES`` channel entries: a
 serial run is as few chunks as that cap allows, and a pooled run gives each
-worker about eight.  A chunk derives every trial's PCG64 seed words from
-``SeedSequence([seed, j])`` in one vectorized pass and draws its channels
-into one ``(m, n)`` array, bit for bit the draws of :func:`trial_rng`,
-which remains the one-trial reference: in one call of the compiled draw
-(:mod:`cfcoef._native`), which seeds a C port of PCG64 from each trial's
-words and fills its row by numpy's own normal kernel, or, where that does
-not load, by one ``Generator`` per trial.  The chunk checks its channels (they
-skip :class:`ChannelInstance`), builds all its canonical rows with the
-builder call ``solve`` and ``list_solve`` make, and tests the first unit
-vector on all of them in one more call.  The ``solve``, ``rate_avg`` and
-``node_ratio`` searches walk all the chunk's rows in one call of the
-compiled walk (:func:`~cfcoef.search._walk_rows`; ``list`` searches per
-trial).  ``solve`` and ``rate_avg`` map back and form every answer of the
-chunk in one pass and take one rate per trial, and ``rate_avg`` evaluates every
+worker about eight.  A chunk's front has two forms with the same bytes.
+The compiled front (:mod:`cfcoef._native`, ``_draw.c``) hashes every
+trial's ``SeedSequence([seed, j])`` into its PCG64 seed words, seeds a C
+port of PCG64 from them and fills the trial's row by numpy's own normal
+kernel, all in one call; after the channel check (they skip
+:class:`ChannelInstance`) and numpy's ``||h||^2``, one more call builds
+every canonical row by the float operations of the builder that ``solve``
+and ``list_solve`` call and tests the first unit vector on each.  Where
+that library does not load, the whole front runs in numpy:
+:func:`_seed_words` hashes the seeds in one vectorized pass, one
+``Generator`` per trial draws, and the builder and the test run as
+``solve`` runs them.  Either way the draws are bit for bit those of
+:func:`trial_rng`, which remains the one-trial reference, and the rows
+those of ``solve``.  The ``solve``, ``rate_avg`` and ``node_ratio``
+searches walk all the chunk's rows in one call of the compiled walk
+(:func:`~cfcoef.search._walk_rows`; ``list`` searches per trial).
+``solve`` and ``rate_avg`` map back and form every answer of the chunk in
+one pass and take one rate per trial, and ``rate_avg`` evaluates every
 row's dominance candidates as arrays and rates them only where a form
 threshold cannot decide the count (``list`` maps back per trial).  A chunk
 answers by column, one per field of its mode; the ``per_trial`` records are
@@ -46,11 +50,13 @@ import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import _native
 from .core import (
+    _OVERFLOW,
     NumericDegeneracyError,
     _channel_rows,
     _check_channels,
@@ -60,6 +66,7 @@ from .core import (
     _quadratic_forms,
     _rate,
     _require_count,
+    _row_dots,
     _unit_form,
 )
 from .listsearch import _list_row
@@ -244,20 +251,49 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The ``(hi-lo, n)`` channels of trials ``lo..hi-1``, bit for bit those of
     ``sample_channel(n, trial_rng(seed, j))``: each trial's ``PCG64`` seeds
-    from its :func:`_seed_words` and draws its row in place, all rows in one
-    call of the compiled draw (:mod:`cfcoef._native`) where it loads, and
-    otherwise one ``Generator`` per row.
+    from its ``SeedSequence([seed, j])`` words and draws its row in place.
+    Where the compiled chunk front (:mod:`cfcoef._native`) loads, one call
+    hashes the words and draws every row; otherwise :func:`_seed_words`
+    hashes them and one ``Generator`` per row draws.
     """
     h = np.empty((hi - lo, n))
-    # the C draw reads each trial's four words through a raw pointer
-    words = np.ascontiguousarray(_seed_words(seed, lo, hi), dtype=np.uint64)
-    draw = _native.drawer()
-    if draw is not None:
-        draw.cf_draw_rows(hi - lo, n, words.ctypes.data, h.ctypes.data)
+    lib = _native.drawer()
+    if lib is not None:
+        lib.cf_draw_rows(seed, lo, hi - lo, n, h.ctypes.data)
         return h
+    # PCG64 reads each trial's four words through a raw pointer
+    words = np.ascontiguousarray(_seed_words(seed, lo, hi), dtype=np.uint64)
     for row, w in zip(h, words):
         np.random.Generator(np.random.PCG64(_SeedWords(w))).standard_normal(out=row)
     return h
+
+
+def _chunk_rows(h: np.ndarray, P: float) -> tuple:
+    """:func:`~cfcoef.core._channel_rows` of the checked ``(m, n)`` channels
+    ``h`` followed by :func:`~cfcoef.core._e1_optimal` of its rows, as
+    ``(t_raw, hnorm2, t, order, sign, f, q, hits)``, bit for bit.
+
+    Where the compiled chunk front loads, ``hnorm2`` still comes from
+    :func:`~cfcoef.core._row_dots` and one call of ``cf_channel_rows``
+    forms the rest by the same float operations in the same order; an
+    overflow is the same ``ValueError``.  That call reads the raw buffer
+    of ``h``, which must be C-contiguous, and writes ``order`` as int64
+    (numpy's ``intp`` on 64-bit platforms).  Otherwise the numpy builder
+    and test run, the reference.
+    """
+    lib = _native.drawer()
+    if lib is None:
+        rows = _channel_rows(h, P)
+        return (*rows, _e1_optimal(rows[2], rows[5]))
+    m, n = h.shape
+    with np.errstate(over="ignore"):
+        hnorm2 = _row_dots(h, h)
+    t_raw, t, q = np.empty((m, n)), np.empty((m, n)), np.empty((m, n))
+    order, sign = np.empty((m, n), dtype=np.int64), np.empty((m, n), dtype=np.int64)
+    f, hits = np.empty((m, n + 1)), np.empty(m, dtype=np.bool_)
+    if lib.cf_channel_rows(m, n, P, *(a.ctypes.data for a in (h, hnorm2, t_raw, t, order, sign, f, q, hits))):
+        raise ValueError(_OVERFLOW)
+    return t_raw, hnorm2, t, order, sign, f, q, hits
 
 
 def _solve_rows(h, P, hnorm2, t, order, sign, f, q, hits) -> tuple:
@@ -351,9 +387,9 @@ def _run_chunk(args) -> tuple:
     trial with a message holds placeholder values).
 
     The chunk draws its channels (see :func:`_draw_rows`), checks them (they
-    skip :class:`ChannelInstance`), builds every canonical row and tests the
-    first unit vector on each, one call apiece.  ``node_ratio`` counts its
-    nodes in one fixed-radius :func:`~cfcoef.search._walk_rows` call;
+    skip :class:`ChannelInstance`), and builds every canonical row and tests
+    the first unit vector on each (see :func:`_chunk_rows`).  ``node_ratio``
+    counts its nodes in one fixed-radius :func:`~cfcoef.search._walk_rows` call;
     ``list`` runs ``list_solve``'s row step per trial; ``solve`` and
     ``rate_avg`` rate the chunk with :func:`_solve_rows`, and ``rate_avg``
     adds the dominance count as ``beating``.
@@ -361,8 +397,7 @@ def _run_chunk(args) -> tuple:
     mode, n, P, seed, list_size, lo, hi = args
     h = _draw_rows(seed, lo, hi, n)
     _check_channels(h)
-    t_raw, hnorm2, t, order, sign, f, q = _channel_rows(h, P)
-    hits = _e1_optimal(t, f)
+    t_raw, hnorm2, t, order, sign, f, q, hits = _chunk_rows(h, P)
     m = hi - lo
     if mode == "e1_freq":
         return {"hit": hits.astype(int).tolist()}, [None] * m
@@ -395,11 +430,12 @@ def _aggregate(cfg: TrialConfig, parts: list, keep_per_trial: bool) -> tuple:
     The trials with an error are dropped; each mean is ``math.fsum`` of the
     kept values in trial order.  ``per_trial`` is built only if ``keep_per_trial``.
     """
-    errors = [err for _, chunk_errors in parts for err in chunk_errors]
-    degenerate = [j for j, err in enumerate(errors) if err is not None]
-    kept = [j for j, err in enumerate(errors) if err is None] if degenerate else range(len(errors))
-    cols = {name: [value for columns, _ in parts for value in columns[name]] for name in parts[0][0]}
-    if degenerate:
+    errors = list(chain.from_iterable(chunk_errors for _, chunk_errors in parts))
+    cols = {name: list(chain.from_iterable(columns[name] for columns, _ in parts)) for name in parts[0][0]}
+    degenerate, kept = [], range(len(errors))
+    if errors.count(None) != len(errors):
+        degenerate = [j for j, err in enumerate(errors) if err is not None]
+        kept = [j for j, err in enumerate(errors) if err is None]
         cols = {name: [col[j] for j in kept] for name, col in cols.items()}
 
     def mean(name):

@@ -650,11 +650,24 @@ def _public_seed_words(seed, lo, hi):
                      for j in range(lo, hi)])
 
 
+def _seed_words_by_form(seed, lo, hi):
+    """The seed words of trials ``lo..hi-1`` by the compiled front's
+    ``cf_seed_words``, where it loads, and by ``bench._seed_words``."""
+    words = bench._seed_words(seed, lo, hi)
+    lib = _native.drawer()
+    if lib is None:
+        return words, words
+    compiled = np.empty((hi - lo, 4), dtype=np.uint64)
+    lib.cf_seed_words(seed, lo, hi - lo, compiled.ctypes.data)
+    return compiled, words
+
+
 class TestChunkDrawer:
-    """A chunk seeds all its trials in one vectorized pass; its draws, by the
-    compiled draw (``cfcoef._native``) and by the Python loop, must be bit
-    for bit those of the public ``trial_rng`` streams.  CI requires the
-    compiled draw to load, so that these check two forms."""
+    """A chunk hashes all its trials' seeds at once, in C or in one vectorized
+    numpy pass; its seed words and draws, by the compiled chunk front
+    (``cfcoef._native``) and by the numpy front, must be bit for bit those
+    of the public ``trial_rng`` streams.  CI requires the compiled front to
+    load, so that these check two forms."""
 
     @pytest.mark.parametrize("n", [1, 8, 1000])
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
@@ -675,9 +688,9 @@ class TestChunkDrawer:
     @pytest.mark.parametrize("seed", _EDGE_SEEDS)
     def test_seed_words_match_seed_sequence(self, seed):
         for lo, hi in _SPANS:
-            words = bench._seed_words(seed, lo, hi)
-            assert words.dtype == np.uint64
-            np.testing.assert_array_equal(words, _public_seed_words(seed, lo, hi))
+            for words in _seed_words_by_form(seed, lo, hi):
+                assert words.dtype == np.uint64
+                np.testing.assert_array_equal(words, _public_seed_words(seed, lo, hi))
 
     def test_seed_words_answer_pcg64_alone(self):
         words = np.ascontiguousarray(bench._seed_words(3, 0, 2))
@@ -696,11 +709,24 @@ class TestChunkDrawer:
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 5), st.integers(1, 9))
     def test_any_seed_and_trial(self, seed, lo, m, n):
-        np.testing.assert_array_equal(bench._seed_words(seed, lo, lo + m),
-                                      _public_seed_words(seed, lo, lo + m))
+        for words in _seed_words_by_form(seed, lo, lo + m):
+            np.testing.assert_array_equal(words, _public_seed_words(seed, lo, lo + m))
         want = _public_draws(seed, lo, lo + m, n).view(np.uint64)
         for rows in _draws_by_form(seed, lo, lo + m, n):
             np.testing.assert_array_equal(rows.view(np.uint64), want)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("mode", bench.MODES)
+    def test_reports_match_the_numpy_front(self, monkeypatch, mode, parallel):
+        # n = 2 at 0 dB hits often and lists run short; n = 40 merges the
+        # compiled sort's runs of 16
+        sizes = ((2, 0.0, 300, 2**64 - 1), (8, 20.0, 200, 11), (40, 10.0, 40, 2**32))
+        configs = [TrialConfig(mode=mode, n=n, snr_db=snr_db, trials=trials, seed=seed,
+                               list_size=4 if mode == "list" else None)
+                   for n, snr_db, trials, seed in sizes]
+        compiled = [_dump(run_trials(cfg, parallel=parallel, keep_per_trial=True)) for cfg in configs]
+        monkeypatch.setattr(_native, "_drawer", None)
+        assert [_dump(run_trials(cfg, parallel=parallel, keep_per_trial=True)) for cfg in configs] == compiled
 
     @pytest.mark.parametrize("broken", ["missing archive", "link error", "missing compiler"])
     def test_fallback_when_the_draw_cannot_be_built(self, monkeypatch, tmp_path, broken):

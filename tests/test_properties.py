@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfcoef import ChannelInstance, ScaledChannel, list_solve, solve
-from cfcoef.core import _channel_rows
+from cfcoef import ChannelInstance, ScaledChannel, bench, list_solve, solve
+from cfcoef.core import _channel_rows, _e1_optimal
 from conftest import assert_walks_match
 
 FLOAT_MAX = np.finfo(np.float64).max
@@ -105,6 +105,37 @@ def test_channel_rows_need_no_check(chunk):
             assert rows[i].tobytes() == getattr(sc, name).tobytes()
         assert np.array_equal(order[i], sc.perm.perm)
         assert np.array_equal(sign[i], sc.perm.sign)
+
+
+def _rows_or_error(build, H, P):
+    """``build(H, P)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return build(H, P)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _numpy_rows(H, P):
+    rows = _channel_rows(H, P)
+    return (*rows, _e1_optimal(rows[2], rows[5]))
+
+
+@PROPERTY
+@given(edge_chunks())
+def test_compiled_rows_match_numpy(chunk):
+    # the compiled chunk front's rows and unit-vector test are the bytes and
+    # dtypes of _channel_rows and _e1_optimal, and it overflows on the same
+    # chunks with the same error; where it does not load, bench._chunk_rows
+    # runs the numpy builder itself
+    H, P = chunk
+    compiled, want = (_rows_or_error(build, H, P) for build in (bench._chunk_rows, _numpy_rows))
+    if isinstance(want, str):
+        assert compiled == want
+        return
+    assert len(compiled) == len(want) == 8
+    for got, ref in zip(compiled, want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 @PROPERTY
