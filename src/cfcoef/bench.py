@@ -15,10 +15,9 @@ kernel, all in one call; after the channel check (they skip
 :class:`ChannelInstance`) and numpy's ``||h||^2``, one more call builds
 every canonical row by the float operations of the builder that ``solve``
 and ``list_solve`` call and tests the first unit vector on each.  Where
-that library does not load, the whole front runs in numpy:
-:func:`_seed_words` hashes the seeds in one vectorized pass, one
-``Generator`` per trial draws, and the builder and the test run as
-``solve`` runs them.  Either way the draws are bit for bit those of
+that library does not load, the whole front runs in numpy: each trial
+draws its row from its own :func:`trial_rng`, and the builder and the test
+run as ``solve`` runs them.  Either way the draws are bit for bit those of
 :func:`trial_rng`, which remains the one-trial reference, and the rows
 those of ``solve``.  The ``solve``, ``rate_avg`` and ``node_ratio``
 searches walk all the chunk's rows in one call of the compiled walk
@@ -97,27 +96,6 @@ _MULTIPLES = np.arange(1.0, 5.0)[:, None]
 # a chunk's working set to a few MB at any n and trial count.
 _CHUNK_ENTRIES = 1 << 16
 
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init`` and its ``count`` successive products by ``mult`` mod 2**32, as a column."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-# numpy's SeedSequence with its 4-word pool: the hash constants run through
-# the same sequence for every input, 16 steps to mix the pool and 8 to emit
-# the state words, from which PCG64 seeds itself.
-_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
-
-
 def _snr_power(snr_db: float) -> float:
     """Linear SNR ``P = 10^(dB/10)``; ``ValueError`` unless finite and positive."""
     try:
@@ -188,9 +166,18 @@ class TrialReport:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic generator for one trial, derived from ``(seed, trial)``.
 
-    This is the reference stream: ``run_trials`` derives the same PCG64
-    state for a whole chunk of trials at once and draws the same values.
+    This is the reference stream: ``run_trials`` draws the same values, by
+    the compiled chunk front for a whole chunk of trials at once where it
+    loads and by this generator per trial otherwise.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` or ``trial`` is not a non-negative integer.
     """
+    for name, value in (("seed", seed), ("trial", trial)):
+        if not _is_integer(value) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
@@ -200,71 +187,20 @@ def sample_channel(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(n)
 
 
-def _hash(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hash of each row of ``words``: row ``i`` takes
-    ``constants[i]`` as its xor constant and ``constants[i + 1]`` as its
-    multiplier (a 1-D ``words`` is broadcast over the rows)."""
-    words = (words ^ constants[:-1]) * constants[1:]
-    return words ^ (words >> 16)
-
-
-def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
-    """``SeedSequence([seed, j]).generate_state(4, np.uint64)`` for trials ``lo..hi-1``.
-
-    The entropy words are those of the two integers (``0`` is one word), in
-    little-endian 32-bit words, zero-padded to the pool of four; every hash
-    and mix step runs once over the whole ``(words, trials)`` array.
-    """
-    seed = int(seed)
-    trials = np.arange(lo, hi, dtype=np.uint64)
-    words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
-    pool = np.zeros((4, hi - lo), dtype=np.uint32)
-    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    pool[len(words)] = trials & _MASK32
-    pool[len(words) + 1] = trials >> 32
-    pool = _hash(pool, _POOL_HASH[:5])
-    # each word in turn, hashed with the next three constants, mixes into
-    # the three other words
-    for src, dst in enumerate(_OTHER_WORDS):
-        k = 4 + 3 * src
-        mixed = pool[dst] * _MIX_L - _hash(pool[src], _POOL_HASH[k:k + 4]) * _MIX_R
-        pool[dst] = mixed ^ (mixed >> 16)
-    state = _hash(np.concatenate((pool, pool)), _STATE_HASH).astype(np.uint64)
-    return (state[0::2] | state[1::2] << 32).T
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """One trial's :func:`_seed_words` in place of its ``SeedSequence``: the
-    answer to ``PCG64``'s ``generate_state(4, np.uint64)``, and to no other
-    request.  ``PCG64`` reads the raw buffer, so ``words`` must be a
-    C-contiguous uint64 row."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds 4 uint64 seed words, not {n_words!r} of {dtype!r}")
-        return self.words
-
-
 def _draw_rows(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The ``(hi-lo, n)`` channels of trials ``lo..hi-1``, bit for bit those of
-    ``sample_channel(n, trial_rng(seed, j))``: each trial's ``PCG64`` seeds
-    from its ``SeedSequence([seed, j])`` words and draws its row in place.
-    Where the compiled chunk front (:mod:`cfcoef._native`) loads, one call
-    hashes the words and draws every row; otherwise :func:`_seed_words`
-    hashes them and one ``Generator`` per row draws.
+    ``sample_channel(n, trial_rng(seed, j))``.  Where the compiled chunk front
+    (:mod:`cfcoef._native`) loads, one call hashes every trial's
+    ``SeedSequence([seed, j])`` words, seeds its ``PCG64`` from them and draws
+    its row; otherwise each row is drawn from :func:`trial_rng` itself.
     """
     h = np.empty((hi - lo, n))
     lib = _native.drawer()
     if lib is not None:
         lib.cf_draw_rows(seed, lo, hi - lo, n, h.ctypes.data)
         return h
-    # PCG64 reads each trial's four words through a raw pointer
-    words = np.ascontiguousarray(_seed_words(seed, lo, hi), dtype=np.uint64)
-    for row, w in zip(h, words):
-        np.random.Generator(np.random.PCG64(_SeedWords(w))).standard_normal(out=row)
+    for j, row in enumerate(h, lo):
+        trial_rng(seed, j).standard_normal(out=row)
     return h
 
 
@@ -277,10 +213,13 @@ def _chunk_rows(h: np.ndarray, P: float) -> tuple:
     :func:`~cfcoef.core._row_dots` and one call of ``cf_channel_rows``
     forms the rest by the same float operations in the same order; an
     overflow is the same ``ValueError``.  That call reads the raw buffer
-    of ``h``, which must be C-contiguous, and writes ``order`` as int64
-    (numpy's ``intp`` on 64-bit platforms).  Otherwise the numpy builder
-    and test run, the reference.
+    of ``h`` and writes ``order`` as int64 (numpy's ``intp`` on 64-bit
+    platforms).  Otherwise the numpy builder and test run, the reference.
+    Either way ``h`` is read as a C-contiguous float64 array, a copy for
+    any other layout or dtype (a chunk's own array is one), since BLAS sums
+    ``||h||^2`` of a strided row in another order than of a contiguous one.
     """
+    h = np.ascontiguousarray(h, dtype=np.float64)
     lib = _native.drawer()
     if lib is None:
         rows = _channel_rows(h, P)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfcoef import ChannelInstance, ScaledChannel, bench, list_solve, solve
+from cfcoef import ChannelInstance, ScaledChannel, _native, bench, list_solve, solve
 from cfcoef.core import _channel_rows, _e1_optimal
 from conftest import assert_walks_match
 
@@ -136,6 +136,21 @@ def test_compiled_rows_match_numpy(chunk):
     for got, ref in zip(compiled, want):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["strided", "fortran", "float32"])
+def test_chunk_rows_read_any_layout(monkeypatch, layout):
+    # the compiled chunk front reads the raw buffer of h: a strided view, a
+    # Fortran-ordered copy and a float32 array give, in either front, the
+    # rows of the same values as a C-contiguous float64 chunk
+    H = bench._draw_rows(3, 0, 40, 16)
+    h = {"strided": H[:, ::2], "fortran": np.asfortranarray(H[:, :8]), "float32": H[:, :8].astype(np.float32)}[layout]
+    want = _numpy_rows(np.ascontiguousarray(h, dtype=np.float64), 100.0)
+    for front in ("compiled", "numpy"):
+        if front == "numpy":
+            monkeypatch.setattr(_native, "_drawer", None)
+        got = bench._chunk_rows(h, 100.0)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 @PROPERTY
